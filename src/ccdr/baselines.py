@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .embedding import build_augmented
 from .graph import WeightMatrix
 from .spectral import generalized_eig, sym_eig_desc, _fix_signs
 
@@ -154,15 +155,15 @@ def laplacian_eigenmap(W, m: int) -> np.ndarray:
     """Eigenmap coordinates: generalized eigenvectors 2..m+1 of (D - W, D).
 
     W may be a WeightMatrix or a symmetric nonnegative array; every vertex
-    needs positive degree.
+    needs positive degree. D - W is the augmented Laplacian with no class
+    nodes and beta = 1.
     """
-    Wmat = W.matrix.toarray() if isinstance(W, WeightMatrix) else np.asarray(W, dtype=np.float64)
-    n = Wmat.shape[0]
-    if Wmat.shape != (n, n):
+    shape = W.matrix.shape if isinstance(W, WeightMatrix) else np.shape(W)
+    n = shape[0]
+    if shape != (n, n):
         raise ValueError("W must be square")
     if not 1 <= m <= n - 1:
         raise ValueError("m must satisfy 1 <= m <= n - 1 = %d" % (n - 1))
-    deg = Wmat.sum(axis=1)
-    lap = np.diag(deg) - Wmat
-    sol = generalized_eig(lap, deg, m, exclude_ones=True)
+    aug = build_augmented(np.zeros((0, n)), W, 1.0)
+    sol = generalized_eig(aug.lap, aug.deg, m, exclude_ones=True)
     return sol.vectors.copy()

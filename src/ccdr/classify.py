@@ -6,7 +6,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+
+from .graph import _nearest
 
 
 def argmax_labels(scores: np.ndarray) -> np.ndarray:
@@ -77,8 +78,9 @@ def sorted_neighbor_labels(
 ) -> np.ndarray:
     """Labels of each query's k_max nearest training points, nearest first.
 
-    Distance ties are broken by ascending training index (stable sort), the
-    same rule the graph construction uses.
+    Distance ties are broken by ascending training index, the same rule and
+    the same neighbour search the graph construction uses. Non-finite
+    queries are an error.
     """
     train_Y = np.asarray(train_Y, dtype=np.float64)
     train_labels = np.asarray(train_labels, dtype=np.int64)
@@ -86,9 +88,7 @@ def sorted_neighbor_labels(
     n = train_Y.shape[0]
     if not 1 <= k_max <= n:
         raise ValueError("k must satisfy 1 <= k <= n = %d" % n)
-    d2 = cdist(Q, train_Y, "sqeuclidean")
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k_max]
-    return train_labels[order]
+    return train_labels[_nearest(Q, train_Y, k_max)[0]]
 
 
 def vote(nbr_labels: np.ndarray, k: int, num_classes: int) -> np.ndarray:

@@ -25,13 +25,24 @@ weight row.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
 from .dataset import LabeledDataset, ClassIndicator, make_indicator, class_counts
-from .graph import WeightMatrix, knn_graph, heat_weights, median_eps, kernel_row, kernel_rows
+from .graph import (
+    WeightMatrix,
+    _check_finite,
+    heat_weights,
+    kernel_row,
+    kernel_rows,
+    knn_graph,
+    median_eps,
+)
 from .spectral import generalized_eig
 
 # Retained eigenvalues must stay clear of 1 for the extension denominator.
@@ -40,15 +51,23 @@ RESIDUAL_TOL = 1e-8
 
 MODEL_FORMAT_VERSION = 1
 
+# build_augmented returns a dense Laplacian up to this order p = L + n and
+# a CSR one above it, so generalized_eig solves small problems with LAPACK
+# and large ones with ARPACK. Near p = 300 the two solves take about the
+# same time (see CHANGES.md for the measurement).
+DENSE_MAX_ORDER = 300
+
 
 @dataclass(frozen=True)
 class AugmentedLaplacian:
-    """Dense Laplacian of the center-augmented graph.
+    """Laplacian of the center-augmented graph.
 
     Vertices 0..L-1 are class centers, vertices L..L+n-1 the data points.
+    lap is a dense array when p = L + n is at most DENSE_MAX_ORDER and a
+    scipy CSR matrix otherwise.
     """
 
-    lap: np.ndarray
+    lap: np.ndarray | sparse.csr_matrix
     deg: np.ndarray
     num_classes: int
     n_points: int
@@ -89,8 +108,11 @@ def build_augmented(C, W, beta: float) -> AugmentedLaplacian:
     """Assemble Dg and Lap = Dg - G for the center-augmented graph.
 
     C may be a ClassIndicator or an (L, n) 0/1 array; W a WeightMatrix or a
-    symmetric (n, n) array. Every augmented row must have positive degree:
-    an empty class or an unlabeled point with no weighted edge is an error.
+    symmetric (n, n) array. L = 0 with beta = 1 gives the plain graph
+    Laplacian D - W. G is assembled sparse; Lap comes back dense when
+    p = L + n <= DENSE_MAX_ORDER and CSR otherwise. Every augmented row
+    must have positive degree: an empty class or an unlabeled point with no
+    weighted edge is an error.
     """
     if isinstance(C, ClassIndicator):
         C = C.matrix
@@ -99,19 +121,17 @@ def build_augmented(C, W, beta: float) -> AugmentedLaplacian:
         raise ValueError("C must be an L x n matrix")
     L, n = C.shape
     if isinstance(W, WeightMatrix):
-        W = W.matrix.toarray()
-    else:
+        W = W.matrix
+    elif not sparse.issparse(W):
         W = np.asarray(W, dtype=np.float64)
     if W.shape != (n, n):
         raise ValueError("W must be n x n with n matching C")
     if not np.isfinite(beta) or beta < 0:
         raise ValueError("beta must be finite and nonnegative")
-    p = L + n
-    G = np.zeros((p, p))
-    G[:L, L:] = C
-    G[L:, :L] = C.T
-    G[L:, L:] = beta * W
-    deg = G.sum(axis=1)
+    Cs = sparse.csr_matrix(C)
+    G = sparse.bmat([[None, Cs], [Cs.T, beta * sparse.csr_matrix(W)]], format="csr")
+    G.eliminate_zeros()  # zero weights are not edges
+    deg = np.asarray(G.sum(axis=1)).ravel()
     bad = np.nonzero(deg <= 0)[0]
     if bad.size:
         r = int(bad[0])
@@ -120,10 +140,14 @@ def build_augmented(C, W, beta: float) -> AugmentedLaplacian:
             if r < L
             else "point %d is unlabeled and has no weighted edge" % (r - L)
         )
-        raise ValueError("augmented row %d has zero degree: %s" % (r, what))
-    lap = np.diag(deg) - G
+        raise ValueError("vertex %d has nonpositive degree: %s" % (r, what))
+    lap = (sparse.diags(deg) - G).tocsr()
     return AugmentedLaplacian(
-        lap=lap, deg=deg, num_classes=L, n_points=n, beta=float(beta)
+        lap=lap if L + n > DENSE_MAX_ORDER else lap.toarray(),
+        deg=deg,
+        num_classes=L,
+        n_points=n,
+        beta=float(beta),
     )
 
 
@@ -142,7 +166,8 @@ def fit(
     must have at least one labeled point; beta = 0 additionally needs a fully
     labeled dataset so every augmented-graph row keeps positive degree.
     Raises when a retained eigenvalue reaches 1 (then m is too large or beta
-    too small for this graph).
+    too small for this graph), and warns (RuntimeWarning) when the augmented
+    graph falls apart into several connected components.
     """
     if not isinstance(ds, LabeledDataset):
         raise TypeError("ds must be a LabeledDataset")
@@ -164,6 +189,14 @@ def fit(
     W = heat_weights(graph, ds.points, eps)
     C = make_indicator(ds)
     aug = build_augmented(C, W, beta)
+    parts = connected_components(aug.lap, directed=False)[0]
+    if parts > 1:
+        warnings.warn(
+            "augmented graph has %d connected components; eigenvalues near 0 "
+            "then only tell the components apart" % parts,
+            RuntimeWarning,
+            stacklevel=2,
+        )
     # The constant vector u_1 never enters: the solve is restricted to its
     # complement, which on a connected graph is the same as discarding it.
     sol = generalized_eig(aug.lap, aug.deg, m, exclude_ones=True)
@@ -293,6 +326,7 @@ def embed_oos(
         raise ValueError("label c must lie in {0, .., %d}" % model.num_classes)
     if weights is None:
         if full_kernel:
+            _check_finite(x[None, :])
             d2 = cdist(x[None, :], model.train_points, "sqeuclidean")[0]
             weights = np.exp(-d2 / model.eps)
         else:
@@ -329,6 +363,7 @@ def embed_many(
     if cs.min(initial=0) < 0 or cs.max(initial=0) > model.num_classes:
         raise ValueError("labels must lie in {0, .., %d}" % model.num_classes)
     if full_kernel:
+        _check_finite(X)
         K = np.exp(-cdist(X, model.train_points, "sqeuclidean") / model.eps)
     else:
         K = kernel_rows(X, model.train_points, model.k, model.eps)

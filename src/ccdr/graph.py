@@ -14,18 +14,24 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.spatial.distance import cdist
 
+# Query rows per _nearest block are sized so one block holds about this
+# many distances (2 MiB of float64), never the full q x n matrix.
+_BLOCK_ENTRIES = 1 << 18
+
 
 @dataclass(frozen=True)
 class NeighborGraph:
     """Undirected kNN graph on n vertices.
 
     edges is an (E, 2) int64 array with i < j per row, sorted
-    lexicographically.
+    lexicographically; sq_dists holds each edge's squared Euclidean length
+    (the cdist value every kernel weight is computed from), in edge order.
     """
 
     n_vertices: int
     k: int
     edges: np.ndarray
+    sq_dists: np.ndarray
 
     def edge_set(self) -> set[tuple[int, int]]:
         return {(int(i), int(j)) for i, j in self.edges}
@@ -46,14 +52,53 @@ class WeightMatrix:
         return np.asarray(self.matrix.sum(axis=1)).ravel()
 
 
-def _sq_dists(points: np.ndarray) -> np.ndarray:
-    return cdist(points, points, "sqeuclidean")
+def _check_finite(Q: np.ndarray) -> None:
+    """Raise on the first query row with a NaN or infinite coordinate."""
+    finite = np.isfinite(Q).all(axis=1)
+    if not finite.all():
+        raise ValueError("query %d has a non-finite coordinate" % int(np.argmin(finite)))
 
 
-def _stable_neighbors(d2: np.ndarray, k: int) -> np.ndarray:
-    """First k columns of a stable argsort per row; ties keep index order."""
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k]
+def _nearest(
+    Q: np.ndarray, X: np.ndarray, k: int, skip_self: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's k nearest rows of X, ordered by (distance, index).
+
+    Returns (q, k) indices and their cdist squared distances, the one
+    formula every graph and kernel weight is computed from. Query rows go
+    in blocks of about _BLOCK_ENTRIES distances: a partition finds the k-th
+    smallest value, a cumulative count of the values tied with it keeps
+    the lowest-indexed ones, and only the k survivors are sorted. With
+    skip_self, query i is row i of X and is not its own neighbour.
+    Non-finite queries are an error.
+    """
+    _check_finite(Q)
+    q, n = Q.shape[0], X.shape[0]
+    idx = np.empty((q, k), dtype=np.int64)
+    dist = np.empty((q, k))
+    step = max(1, _BLOCK_ENTRIES // n)
+    for s in range(0, q, step):
+        e = min(q, s + step)
+        d2 = cdist(Q[s:e], X, "sqeuclidean")
+        if skip_self:
+            d2[np.arange(e - s), np.arange(s, e)] = np.inf
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+        keep = d2 <= kth
+        # rows with more than k values at or below the k-th: keep the
+        # lowest-indexed of the values tied with it
+        over = np.nonzero(np.count_nonzero(keep, axis=1) > k)[0]
+        if over.size:
+            sub, t = d2[over], kth[over]
+            tied = sub == t
+            need = k - np.count_nonzero(sub < t, axis=1)[:, None]
+            keep[over] = (sub < t) | (tied & (np.cumsum(tied, axis=1) <= need))
+        rows, cols = np.nonzero(keep)  # ascending index within each row
+        vals = d2[rows, cols].reshape(e - s, k)
+        cols = cols.reshape(e - s, k)
+        order = np.argsort(vals, axis=1, kind="stable")
+        idx[s:e] = np.take_along_axis(cols, order, axis=1)
+        dist[s:e] = np.take_along_axis(vals, order, axis=1)
+    return idx, dist
 
 
 def knn_graph(points: np.ndarray, k: int) -> NeighborGraph:
@@ -67,32 +112,32 @@ def knn_graph(points: np.ndarray, k: int) -> NeighborGraph:
     n = points.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError("k must satisfy 1 <= k <= n - 1, got k=%d, n=%d" % (k, n))
-    d2 = _sq_dists(points)
-    np.fill_diagonal(d2, np.inf)
-    nbrs = _stable_neighbors(d2, k)
+    nbrs, d2 = _nearest(points, points, k, skip_self=True)
     rows = np.repeat(np.arange(n), k)
     cols = nbrs.ravel()
     lo = np.minimum(rows, cols)
     hi = np.maximum(rows, cols)
-    codes = np.unique(lo.astype(np.int64) * n + hi)
-    edges = np.column_stack([codes // n, codes % n]).astype(np.int64)
-    return NeighborGraph(n_vertices=n, k=k, edges=edges)
+    # cdist gives the same bits for (i, j) and (j, i), so either copy will do
+    codes, first = np.unique(lo * n + hi, return_index=True)
+    edges = np.column_stack([codes // n, codes % n])
+    return NeighborGraph(n_vertices=n, k=k, edges=edges, sq_dists=d2.ravel()[first])
 
 
-def edge_sq_distances(graph: NeighborGraph, points: np.ndarray) -> np.ndarray:
-    """Squared Euclidean length of every edge, in edge order."""
-    points = np.asarray(points, dtype=np.float64)
-    i = graph.edges[:, 0]
-    j = graph.edges[:, 1]
-    diff = points[i] - points[j]
-    return np.einsum("ij,ij->i", diff, diff)
+def _check_points(graph: NeighborGraph, points: np.ndarray) -> None:
+    if np.shape(points)[0] != graph.n_vertices:
+        raise ValueError("points must be the graph's %d vertices" % graph.n_vertices)
 
 
 def median_eps(graph: NeighborGraph, points: np.ndarray) -> float:
-    """Median of squared edge distances, the default heat-kernel width."""
+    """Median of squared edge distances, the default heat-kernel width.
+
+    The lengths are the ones stored on the graph; points, the graph's own
+    vertices, are only checked for their count.
+    """
+    _check_points(graph, points)
     if graph.edges.shape[0] == 0:
         raise ValueError("graph has no edges")
-    return float(np.median(edge_sq_distances(graph, points)))
+    return float(np.median(graph.sq_dists))
 
 
 def heat_weights(
@@ -100,16 +145,16 @@ def heat_weights(
 ) -> WeightMatrix:
     """Heat-kernel weights w_ij = exp(-||x_i - x_j||^2 / eps) on graph edges.
 
-    The two triangles share each computed value, so the matrix is exactly
-    symmetric.
+    The squared lengths are the ones stored on the graph, so each weight is
+    bit-identical to kernel_rows on the same pair; points are only checked
+    for their count. The two triangles share each computed value, so the
+    matrix is exactly symmetric.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    points = np.asarray(points, dtype=np.float64)
+    _check_points(graph, points)
     n = graph.n_vertices
-    # cdist keeps edge weights bit-consistent with kernel_row on the same pairs
-    d2 = _sq_dists(points)[graph.edges[:, 0], graph.edges[:, 1]]
-    w = np.exp(-d2 / eps)
+    w = np.exp(-graph.sq_dists / eps)
     i = graph.edges[:, 0]
     j = graph.edges[:, 1]
     mat = csr_matrix(
@@ -122,29 +167,19 @@ def heat_weights(
 def kernel_row(
     x: np.ndarray, train_points: np.ndarray, k: int, eps: float
 ) -> np.ndarray:
-    """Heat-kernel weights from a query to its k nearest training points.
-
-    Entry j is exp(-||x - x_j||^2 / eps) when x_j is among the k nearest
-    training points to x (ties by ascending index) and 0 otherwise.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    train_points = np.asarray(train_points, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    n = train_points.shape[0]
-    if not 1 <= k < n:
-        raise ValueError("k must satisfy 1 <= k <= n - 1, got k=%d, n=%d" % (k, n))
-    d2 = cdist(x, train_points, "sqeuclidean")[0]
-    nbrs = np.argsort(d2, kind="stable")[:k]
-    out = np.zeros(n)
-    out[nbrs] = np.exp(-d2[nbrs] / eps)
-    return out
+    """kernel_rows for a single query x, shape (n,)."""
+    return kernel_rows(np.asarray(x, dtype=np.float64).reshape(1, -1), train_points, k, eps)[0]
 
 
 def kernel_rows(
     X: np.ndarray, train_points: np.ndarray, k: int, eps: float
 ) -> np.ndarray:
-    """Vectorized kernel_row for a batch of queries, shape (q, n)."""
+    """Heat-kernel weights from each query to its k nearest training points.
+
+    Entry (i, j) is exp(-||x_i - x_j||^2 / eps) when x_j is among the k
+    nearest training points to x_i (ties by ascending index) and 0
+    otherwise; shape (q, n). Non-finite queries are an error.
+    """
     if not eps > 0:
         raise ValueError("eps must be positive")
     train_points = np.asarray(train_points, dtype=np.float64)
@@ -154,12 +189,9 @@ def kernel_rows(
     n = train_points.shape[0]
     if not 1 <= k < n:
         raise ValueError("k must satisfy 1 <= k <= n - 1, got k=%d, n=%d" % (k, n))
-    d2 = cdist(X, train_points, "sqeuclidean")
-    nbrs = _stable_neighbors(d2, k)
-    out = np.zeros_like(d2)
-    rows = np.repeat(np.arange(X.shape[0]), k)
-    cols = nbrs.ravel()
-    out[rows, cols] = np.exp(-d2[rows, cols] / eps)
+    nbrs, d2 = _nearest(X, train_points, k)
+    out = np.zeros((X.shape[0], n))
+    np.put_along_axis(out, nbrs, np.exp(-d2 / eps), axis=1)
     return out
 
 

@@ -26,7 +26,7 @@ from .dataset import (
     gen_circles,
     load_statlog,
 )
-from .embedding import embed_many, fit as ccdr_fit, refit_embed
+from .embedding import build_augmented, embed_many, fit as ccdr_fit, refit_embed
 from .graph import heat_weights, kernel_rows, knn_graph, median_eps
 from .baselines import lda_fit, pca_fit
 from .spectral import generalized_eig
@@ -170,10 +170,8 @@ def fit_pipeline(
         W = heat_weights(graph, train.points, width)
         if not 1 <= m <= train.n - 1:
             raise ValueError("m must satisfy 1 <= m <= n - 1 = %d" % (train.n - 1))
-        sol = generalized_eig(
-            np.diag(W.degrees()) - W.matrix.toarray(), W.degrees(), m,
-            exclude_ones=True,
-        )
+        aug = build_augmented(np.zeros((0, train.n)), W, 1.0)
+        sol = generalized_eig(aug.lap, aug.deg, m, exclude_ones=True)
         lam = sol.values
         if lam.max(initial=0.0) >= 1.0 - 1e-9:
             raise ValueError("retained eigenvalue reaches 1; decrease m")

@@ -3,7 +3,10 @@
 The generalized problem Lap u = lambda Dg u with a positive diagonal Dg is
 reduced by the similarity transform S = Dg^{-1/2} Lap Dg^{-1/2}; the
 standard symmetric solve on S is then mapped back through u = Dg^{-1/2} v.
-Returned eigenvectors are Dg-orthonormal and sign-fixed so the
+A dense Lap gets a dense LAPACK solve; a scipy sparse Lap gets ARPACK's
+Lanczos iteration on 2I - S, whose largest eigenvalues are the smallest of
+S (the spectrum of S lies in [0, 2] for a graph Laplacian). Returned
+eigenvectors are Dg-orthonormal and sign-fixed so the
 largest-magnitude entry is positive (ties by lowest index).
 """
 
@@ -13,7 +16,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
 from scipy.linalg import eigh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 # Below this gap the eigenvector basis inside a cluster is not unique.
 GAP_TOL = 1e-10
@@ -42,9 +47,15 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return U
 
 
-def _check_symmetric(M: np.ndarray, what: str) -> None:
-    scale = max(1.0, float(np.abs(M).max(initial=0.0)))
-    if np.abs(M - M.T).max(initial=0.0) > 1e-10 * scale:
+def _abs_max(M) -> float:
+    if sparse.issparse(M):
+        return float(abs(M).max())
+    return float(np.abs(M).max(initial=0.0))
+
+
+def _check_symmetric(M, what: str) -> None:
+    scale = max(1.0, _abs_max(M))
+    if _abs_max(M - M.T) > 1e-10 * scale:
         raise ValueError("%s must be symmetric" % what)
 
 
@@ -59,7 +70,7 @@ def _warn_small_gaps(values: np.ndarray) -> None:
 
 
 def generalized_eig(
-    lap: np.ndarray,
+    lap,
     deg: np.ndarray,
     count: int,
     *,
@@ -67,17 +78,19 @@ def generalized_eig(
 ) -> EigenSolution:
     """Smallest `count` eigenpairs of Lap u = lambda Dg u, Dg = diag(deg).
 
-    Requires a symmetric Lap and strictly positive deg. Eigenvectors come
-    back Dg-orthonormal (u^T Dg u = 1) in ascending eigenvalue order.
+    Lap is a dense array or a scipy sparse matrix; requires a symmetric Lap
+    and strictly positive deg. Eigenvectors come back Dg-orthonormal
+    (u^T Dg u = 1) in ascending eigenvalue order.
 
     With exclude_ones=True the solve is restricted to the complement of the
-    constant vector (u^T Dg 1 = 0): the constant direction is shifted above
-    the Laplacian band before the solve. On a connected graph this returns
-    exactly the eigenpairs after the constant one; on a disconnected graph,
-    where the kernel basis is otherwise arbitrary, it keeps the returned
-    band Dg-orthogonal to the constant.
+    constant vector (u^T Dg 1 = 0): the constant direction is moved out of
+    the wanted end of the spectrum before the solve. On a connected graph
+    this returns exactly the eigenpairs after the constant one; on a
+    disconnected graph, where the kernel basis is otherwise arbitrary, it
+    keeps the returned band Dg-orthogonal to the constant.
     """
-    lap = np.asarray(lap, dtype=np.float64)
+    if not sparse.issparse(lap):
+        lap = np.asarray(lap, dtype=np.float64)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ValueError("lap must be square")
     p = lap.shape[0]
@@ -93,20 +106,57 @@ def generalized_eig(
             "count must satisfy 1 <= count <= %d, got %d" % (limit, count)
         )
     _check_symmetric(lap, "lap")
+    if sparse.issparse(lap) and count >= p - 1:
+        lap = lap.toarray()  # ARPACK needs count < p - 1; this is a full solve anyway
     s = 1.0 / np.sqrt(deg)
-    S = s[:, None] * lap * s[None, :]
-    S = (S + S.T) / 2.0
-    if exclude_ones:
-        # Shift the constant direction above every eigenvalue; the max
-        # absolute row sum bounds the spectral radius.
-        v1 = np.sqrt(deg)
-        v1 /= np.linalg.norm(v1)
-        shift = 1.0 + float(np.abs(S).sum(axis=1).max())
-        S = S + shift * np.outer(v1, v1)
-    vals, vecs = eigh(S, subset_by_index=(0, count - 1))
+    v1 = np.sqrt(deg)
+    v1 /= np.linalg.norm(v1)
+    if sparse.issparse(lap):
+        vals, vecs = _lanczos_smallest(lap, s, count, v1 if exclude_ones else None)
+    else:
+        S = s[:, None] * lap * s[None, :]
+        S = (S + S.T) / 2.0
+        if exclude_ones:
+            # Shift the constant direction above every eigenvalue; the max
+            # absolute row sum bounds the spectral radius.
+            shift = 1.0 + float(np.abs(S).sum(axis=1).max())
+            S = S + shift * np.outer(v1, v1)
+        vals, vecs = eigh(S, subset_by_index=(0, count - 1))
     U = _fix_signs(s[:, None] * vecs)
     _warn_small_gaps(vals)
     return EigenSolution(values=vals, vectors=U, metric_diag=deg.copy())
+
+
+def _lanczos_smallest(lap, s: np.ndarray, count: int, deflate):
+    """Smallest `count` eigenpairs of S = diag(s) Lap diag(s) by ARPACK.
+
+    Lanczos runs on A = 2I - S, whose top eigenvalues 2 - lambda are the
+    wanted ones and are all of order 1, so ARPACK's relative tolerance at
+    machine precision holds them to absolute accuracy. A unit vector
+    `deflate` (the constant direction, an eigenvector of S with eigenvalue
+    0) is removed as the rank-one term -2 v v^T, which moves it to 0 at
+    the bottom of A. The start vector is fixed, so results are
+    bit-deterministic.
+    """
+    p = lap.shape[0]
+    Ds = sparse.diags(s)
+    S = (Ds @ lap @ Ds).tocsr()
+    S = ((S + S.T) * 0.5).tocsr()
+
+    def matvec(x):
+        x = np.ravel(x)
+        y = 2.0 * x - S @ x
+        if deflate is not None:
+            y -= (2.0 * (deflate @ x)) * deflate
+        return y
+
+    v0 = np.random.default_rng(0).standard_normal(p)
+    if deflate is not None:
+        v0 -= (deflate @ v0) * deflate
+    A = LinearOperator((p, p), matvec=matvec, dtype=np.float64)
+    theta, vecs = eigsh(A, k=count, which="LA", v0=v0)
+    order = np.argsort(-theta, kind="stable")
+    return 2.0 - theta[order], vecs[:, order]
 
 
 def sym_eig_desc(M: np.ndarray, count: int) -> EigenSolution:

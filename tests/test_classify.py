@@ -189,3 +189,9 @@ def test_error_rate_validation():
         error_rate(np.ones(0), np.ones(0))
     with pytest.raises(ValueError, match="equal length"):
         error_rate(np.ones((2, 2)), np.ones((2, 2)))
+
+
+def test_knn_predict_rejects_non_finite_queries():
+    clf = KnnClassifier(np.arange(8.0).reshape(4, 2), np.array([1, 1, 2, 2]), 3, 2)
+    with pytest.raises(ValueError, match="query 2 has a non-finite coordinate"):
+        clf.predict(np.array([[0.0, 0.0], [1.0, 1.0], [np.nan, 0.0]]))

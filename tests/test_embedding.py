@@ -1,12 +1,15 @@
 """Constrained embedding: augmented graph, fit, extension, persistence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from ccdr.dataset import LabeledDataset, gen_circles, make_indicator
 from ccdr.embedding import (
+    DENSE_MAX_ORDER,
     MODEL_FORMAT_VERSION,
     build_augmented,
     constraint_residuals,
@@ -363,3 +366,71 @@ def test_load_model_rejects_future_version(tmp_path, blob30):
     np.savez(p, **data)
     with pytest.raises(ValueError, match="unsupported model format version 2 \\(expected 1\\)"):
         load_model(p)
+
+
+def gaussian_classes(n, L=3, d=4, seed=12):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(1, L + 1, n)
+    labels[:L] = np.arange(1, L + 1)
+    return LabeledDataset(rng.standard_normal((n, d)), labels, L)
+
+
+def test_build_augmented_goes_sparse_above_the_cutoff():
+    for n, want_sparse in ((DENSE_MAX_ORDER - 3, False), (DENSE_MAX_ORDER - 2, True)):
+        ds = gaussian_classes(n)
+        g = knn_graph(ds.points, 4)
+        W = heat_weights(g, ds.points, median_eps(g, ds.points))
+        C = make_indicator(ds)
+        aug = build_augmented(C, W, 0.7)
+        assert sparse.issparse(aug.lap) == want_sparse
+        G = np.zeros((n + 3, n + 3))
+        G[:3, 3:] = C.matrix
+        G[3:, :3] = C.matrix.T
+        G[3:, 3:] = 0.7 * W.matrix.toarray()
+        lap = aug.lap.toarray() if want_sparse else aug.lap
+        assert np.array_equal(lap, np.diag(aug.deg) - G)
+        assert np.allclose(aug.deg, G.sum(axis=1), rtol=1e-14, atol=0.0)
+
+
+def test_sparse_fit_is_deterministic_and_satisfies_constraints():
+    ds = gaussian_classes(400)
+    a = fit(ds, k=5, beta=0.8, m=3)
+    b = fit(ds, k=5, beta=0.8, m=3)
+    assert np.array_equal(a.embedding, b.embedding)
+    assert np.array_equal(a.centers, b.centers)
+    assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    assert max(constraint_residuals(a).values()) < 1e-8
+
+
+def test_fit_warns_on_disconnected_augmented_graph():
+    ds = gaussian_classes(60)
+    far = ds.points + 1e3 * (ds.labels[:, None] == 1)  # class 1 moves far away
+    with pytest.warns(RuntimeWarning, match="augmented graph has 2 connected components"):
+        model = fit(LabeledDataset(far, ds.labels, 3), k=4, beta=0.5, m=2)
+    assert model.eigenvalues[0] < 1e-10
+
+
+def test_fit_memory_stays_below_a_dense_augmented_matrix():
+    # a p x p float64 array is 72 MB at n = 3000; the fit must never hold
+    # anything near it
+    ds = gaussian_classes(3000, d=10)
+    p = ds.n + ds.num_classes
+    tracemalloc.start()
+    try:
+        fit(ds, k=4, beta=0.5, m=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p * p * 8 / 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_embed_rejects_non_finite_queries(blob30, bad):
+    model = fit(blob30, k=5, eps=None, beta=0.8, m=2)
+    X = blob30.points[:4].copy()
+    X[2, 1] = bad
+    for full in (False, True):
+        with pytest.raises(ValueError, match="query 2 has a non-finite coordinate"):
+            embed_many(model, X, full_kernel=full)
+        with pytest.raises(ValueError, match="query 0 has a non-finite coordinate"):
+            embed_oos(model, X[2], full_kernel=full)

@@ -1,14 +1,18 @@
 """Neighbor graph, heat-kernel weights, and out-of-sample kernel rows."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from ccdr import graph
+from ccdr.classify import sorted_neighbor_labels
 from ccdr.graph import (
     NeighborGraph,
     WeightMatrix,
-    edge_sq_distances,
     export_edges_csv,
     heat_weights,
     kernel_row,
@@ -148,8 +152,8 @@ def test_edge_sq_distances_match_direct():
     rng = np.random.default_rng(27)
     pts = rng.standard_normal((12, 2))
     g = knn_graph(pts, 3)
-    d2 = edge_sq_distances(g, pts)
-    for (i, j), v in zip(g.edges, d2):
+    assert g.sq_dists.shape == (g.edges.shape[0],)
+    for (i, j), v in zip(g.edges, g.sq_dists):
         assert v == pytest.approx(np.sum((pts[i] - pts[j]) ** 2), rel=1e-12)
 
 
@@ -223,3 +227,83 @@ def test_export_edges_csv(tmp_path):
     assert lines[0] == "i,j,w"
     assert lines[1].startswith("0,1,") and lines[2].startswith("1,2,")
     assert float(lines[1].split(",")[2]) == math.exp(-1.0 / 2.5)
+
+
+def full_sort_neighbors(Q, X, k, skip_self=False):
+    """Reference rule: the first k columns of a full stable argsort."""
+    d2 = ((Q[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+    if skip_self:
+        np.fill_diagonal(d2, np.inf)
+    idx = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return idx, np.take_along_axis(d2, idx, axis=1)
+
+
+@st.composite
+def grid_problem(draw):
+    """Integer-grid points and queries, where distance ties are common."""
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 3))
+    coords = st.integers(0, 3).map(float)
+    X = draw(arrays(np.float64, (n, d), elements=coords))
+    Q = draw(arrays(np.float64, (draw(st.integers(1, 12)), d), elements=coords))
+    k = draw(st.integers(1, n - 1))
+    return X, Q, k
+
+
+# one query row per block, then the default block size
+BLOCK_SIZES = (1, graph._BLOCK_ENTRIES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_problem())
+def test_nearest_equals_full_stable_argsort(problem):
+    X, Q, k = problem
+    for block in BLOCK_SIZES:
+        with mock.patch.object(graph, "_BLOCK_ENTRIES", block):
+            for skip_self, queries in ((False, Q), (True, X)):
+                idx, d2 = graph._nearest(queries, X, k, skip_self=skip_self)
+                want_idx, want_d2 = full_sort_neighbors(queries, X, k, skip_self)
+                assert np.array_equal(idx, want_idx)
+                assert np.array_equal(d2, want_d2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_problem())
+def test_graph_kernel_and_classifier_follow_the_full_sort(problem):
+    X, Q, k = problem
+    n = X.shape[0]
+    idx, d2 = full_sort_neighbors(X, X, k, skip_self=True)
+    rows = np.repeat(np.arange(n), k)
+    want_edges = set(zip(np.minimum(rows, idx.ravel()).tolist(),
+                         np.maximum(rows, idx.ravel()).tolist()))
+    g = knn_graph(X, k)
+    assert g.edge_set() == want_edges
+    for (i, j), v in zip(g.edges, g.sq_dists):
+        assert v == np.sum((X[i] - X[j]) ** 2)
+    qidx, qd2 = full_sort_neighbors(Q, X, k)
+    K = kernel_rows(Q, X, k, 1.7)
+    want_K = np.zeros_like(K)
+    np.put_along_axis(want_K, qidx, np.exp(-qd2 / 1.7), axis=1)
+    assert np.array_equal(K, want_K)
+    labels = np.arange(n) * 10
+    assert np.array_equal(sorted_neighbor_labels(X, labels, Q, k), labels[qidx])
+
+
+def test_stored_edge_lengths_need_the_graph_vertices():
+    pts = np.array([[0.0], [1.0], [3.0]])
+    g = knn_graph(pts, 1)
+    with pytest.raises(ValueError, match="graph's 3 vertices"):
+        median_eps(g, pts[:2])
+    with pytest.raises(ValueError, match="graph's 3 vertices"):
+        heat_weights(g, pts[:2], 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kernel_rows_reject_non_finite_queries(bad):
+    pts = np.arange(12.0).reshape(6, 2)
+    Q = np.zeros((3, 2))
+    Q[1, 0] = bad
+    with pytest.raises(ValueError, match="query 1 has a non-finite coordinate"):
+        kernel_rows(Q, pts, 2, 1.0)
+    with pytest.raises(ValueError, match="query 0 has a non-finite coordinate"):
+        kernel_row(Q[1], pts, 2, 1.0)

@@ -4,7 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
+from ccdr.dataset import LabeledDataset, make_indicator
+from ccdr.embedding import build_augmented
+from ccdr.graph import heat_weights, knn_graph, median_eps
 from ccdr.spectral import GAP_TOL, generalized_eig, sym_eig_desc
 
 
@@ -189,3 +193,43 @@ def test_sym_eig_desc_validation():
         sym_eig_desc(np.eye(2), 3)
     with pytest.raises(ValueError, match="M must be symmetric"):
         sym_eig_desc(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
+
+
+def augmented_600(kind):
+    """Sparse augmented Laplacian of order 600 from isotropic or clustered points."""
+    rng = np.random.default_rng(48)
+    n, L = 594, 6
+    if kind == "iso":
+        X = rng.standard_normal((n, 4))
+    else:
+        centres = 6.0 * rng.standard_normal((5, 4))
+        X = centres[rng.integers(0, 5, n)] + 0.5 * rng.standard_normal((n, 4))
+    labels = rng.integers(0, L + 1, n)
+    labels[:L] = np.arange(1, L + 1)
+    g = knn_graph(X, 5)
+    W = heat_weights(g, X, median_eps(g, X))
+    aug = build_augmented(make_indicator(LabeledDataset(X, labels, L)), W, 0.5)
+    assert sparse.issparse(aug.lap) and aug.lap.shape == (600, 600)
+    return aug
+
+
+@pytest.mark.parametrize("kind", ["iso", "clustered"])
+@pytest.mark.parametrize("exclude_ones", [False, True])
+def test_sparse_solve_matches_dense(kind, exclude_ones):
+    aug = augmented_600(kind)
+    got = generalized_eig(aug.lap, aug.deg, 8, exclude_ones=exclude_ones)
+    want = generalized_eig(aug.lap.toarray(), aug.deg, 8, exclude_ones=exclude_ones)
+    assert np.abs(got.values - want.values).max() <= 1e-10
+    assert np.abs(got.vectors - want.vectors).max() <= 1e-8
+    assert np.array_equal(got.metric_diag, want.metric_diag)
+
+
+def test_sparse_validation_and_full_spectrum_requests():
+    rng = np.random.default_rng(49)
+    lap, deg = random_laplacian(rng, 8)
+    full = generalized_eig(sparse.csr_matrix(lap), deg, 7, exclude_ones=True)
+    dense = generalized_eig(lap, deg, 7, exclude_ones=True)
+    assert np.array_equal(full.values, dense.values)
+    skew = sparse.csr_matrix(np.triu(lap))
+    with pytest.raises(ValueError, match="lap must be symmetric"):
+        generalized_eig(skew, deg, 2)
