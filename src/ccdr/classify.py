@@ -68,11 +68,6 @@ def linear_fit(Y: np.ndarray, labels: np.ndarray, num_classes: int) -> LinearCla
     return LinearClassifier(weights=coef[:m].T.copy(), bias=coef[m].copy())
 
 
-def linear_predict(clf: LinearClassifier, Y: np.ndarray) -> np.ndarray:
-    """Predicted labels for a batch of embedded points."""
-    return clf.predict(Y)
-
-
 def sorted_neighbor_labels(
     train_Y: np.ndarray, train_labels: np.ndarray, Q: np.ndarray, k_max: int
 ) -> np.ndarray:
@@ -125,11 +120,6 @@ class KnnClassifier:
     def predict(self, Y: np.ndarray) -> np.ndarray:
         nbr = sorted_neighbor_labels(self.train_Y, self.train_labels, Y, self.k)
         return vote(nbr, self.k, self.num_classes)
-
-
-def knn_predict(clf: KnnClassifier, y: np.ndarray) -> int:
-    """Predict a single embedded point."""
-    return int(clf.predict(np.asarray(y, dtype=np.float64)[None, :])[0])
 
 
 def error_rate(pred: np.ndarray, truth: np.ndarray) -> float:

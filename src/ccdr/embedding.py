@@ -37,11 +37,11 @@ from .dataset import LabeledDataset, ClassIndicator, make_indicator, class_count
 from .graph import (
     WeightMatrix,
     _check_finite,
+    _heat_graph,
     heat_weights,
     kernel_row,
     kernel_rows,
     knn_graph,
-    median_eps,
 )
 from .spectral import generalized_eig
 
@@ -166,9 +166,15 @@ def fit(
     must have at least one labeled point; beta = 0 additionally needs a fully
     labeled dataset so every augmented-graph row keeps positive degree.
     Raises when a retained eigenvalue reaches 1 (then m is too large or beta
-    too small for this graph), and warns (RuntimeWarning) when the augmented
-    graph falls apart into several connected components.
+    too small for this graph), and warns (RuntimeWarning) when some
+    connected component of the augmented graph holds no class node.
     """
+    _check_fit(ds, beta, m)
+    return _solve(ds, _heat_graph(ds.points, k, eps, eps_scale), k, beta, m)
+
+
+def _check_fit(ds: LabeledDataset, beta: float, m: int) -> None:
+    """fit's argument checks, made before any graph is built."""
     if not isinstance(ds, LabeledDataset):
         raise TypeError("ds must be a LabeledDataset")
     if not np.isfinite(beta) or beta < 0:
@@ -181,22 +187,29 @@ def fit(
     counts = class_counts(ds)
     if np.any(counts == 0):
         raise ValueError("class %d has no labeled points" % (int(np.argmin(counts)) + 1))
-    graph = knn_graph(ds.points, k)
-    if eps is None:
-        eps = median_eps(graph, ds.points) * float(eps_scale)
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    W = heat_weights(graph, ds.points, eps)
+
+
+def _solve(ds: LabeledDataset, W: WeightMatrix, k: int, beta: float, m: int) -> CcdrModel:
+    """The beta- and m-dependent part of fit, on heat weights W built with
+    graph degree k from ds.points; the arguments have passed _check_fit."""
+    L = ds.num_classes
     C = make_indicator(ds)
     aug = build_augmented(C, W, beta)
-    parts = connected_components(aug.lap, directed=False)[0]
+    parts, comp = connected_components(aug.lap, directed=False)
     if parts > 1:
-        warnings.warn(
-            "augmented graph has %d connected components; eigenvalues near 0 "
-            "then only tell the components apart" % parts,
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        # a component with no class node carries no label information, and
+        # its indicator is a spurious eigenvector with eigenvalue 0
+        anchored = np.zeros(parts, dtype=bool)
+        anchored[comp[:L]] = True
+        loose = int(np.count_nonzero(~anchored[comp[L:]]))
+        if loose:
+            warnings.warn(
+                "augmented graph has %d connected components and %d points sit "
+                "in components with no class node; eigenvalues near 0 then only "
+                "tell the components apart" % (parts, loose),
+                RuntimeWarning,
+                stacklevel=3,
+            )
     # The constant vector u_1 never enters: the solve is restricted to its
     # complement, which on a connected graph is the same as discarding it.
     sol = generalized_eig(aug.lap, aug.deg, m, exclude_ones=True)
@@ -212,13 +225,13 @@ def fit(
         embedding=np.ascontiguousarray(U[L:].copy()),
         eigenvalues=lam,
         beta=float(beta),
-        eps=float(eps),
+        eps=W.eps,
         k=int(k),
         m=int(m),
         train_points=ds.points.copy(),
         train_labels=ds.labels.copy(),
         num_classes=L,
-        class_sizes=counts.copy(),
+        class_sizes=class_counts(ds),
     )
     res = constraint_residuals(model, W=W, C=C)
     worst = max(res.values())
@@ -367,18 +380,32 @@ def embed_many(
         K = np.exp(-cdist(X, model.train_points, "sqeuclidean") / model.eps)
     else:
         K = kernel_rows(X, model.train_points, model.k, model.eps)
+    return _extend(K, cs, model.centers, model.embedding, model.eigenvalues, model.beta)
+
+
+def _extend(
+    K: np.ndarray,
+    cs: np.ndarray,
+    centers: np.ndarray,
+    embedding: np.ndarray,
+    eigenvalues: np.ndarray,
+    beta: float,
+) -> np.ndarray:
+    """The extension formula for kernel rows K (q, n) and labels cs (0 =
+    unlabeled). With no labeled query and beta = 1 it is the eigenmap
+    extension sum_j K_ij y_j / ((1 - lambda) sum_j K_ij), bit for bit."""
     lab = (cs > 0).astype(np.float64)
-    den = lab + model.beta * K.sum(axis=1)
+    den = lab + beta * K.sum(axis=1)
     bad = np.nonzero(den <= 0.0)[0]
     if bad.size:
         raise ValueError(
             "query %d outside model support: zero kernel mass" % int(bad[0])
         )
-    num = model.beta * (K @ model.embedding)
+    num = beta * (K @ embedding)
     labeled = np.nonzero(cs > 0)[0]
     if labeled.size:
-        num[labeled] += model.centers[cs[labeled] - 1]
-    return num / ((1.0 - model.eigenvalues)[None, :] * den[:, None])
+        num[labeled] += centers[cs[labeled] - 1]
+    return num / ((1.0 - eigenvalues)[None, :] * den[:, None])
 
 
 def refit_embed(model: CcdrModel, x: np.ndarray) -> np.ndarray:

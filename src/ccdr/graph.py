@@ -132,12 +132,19 @@ def median_eps(graph: NeighborGraph, points: np.ndarray) -> float:
     """Median of squared edge distances, the default heat-kernel width.
 
     The lengths are the ones stored on the graph; points, the graph's own
-    vertices, are only checked for their count.
+    vertices, are only checked for their count. A zero median, which
+    duplicate points cause, is an error: no heat kernel has width 0.
     """
     _check_points(graph, points)
     if graph.edges.shape[0] == 0:
         raise ValueError("graph has no edges")
-    return float(np.median(graph.sq_dists))
+    eps = float(np.median(graph.sq_dists))
+    if not eps > 0:
+        raise ValueError(
+            "median squared kNN edge length is 0, duplicate points? "
+            "Pass eps explicitly"
+        )
+    return eps
 
 
 def heat_weights(
@@ -162,6 +169,17 @@ def heat_weights(
         shape=(n, n),
     )
     return WeightMatrix(matrix=mat, eps=float(eps))
+
+
+def _heat_graph(
+    points: np.ndarray, k: int, eps: float | None = None, eps_scale: float = 1.0
+) -> WeightMatrix:
+    """Heat weights on the kNN graph of points; eps = None selects the
+    median heuristic scaled by eps_scale."""
+    graph = knn_graph(points, k)
+    if eps is None:
+        eps = median_eps(graph, points) * float(eps_scale)
+    return heat_weights(graph, points, eps)
 
 
 def kernel_row(
@@ -190,7 +208,12 @@ def kernel_rows(
     if not 1 <= k < n:
         raise ValueError("k must satisfy 1 <= k <= n - 1, got k=%d, n=%d" % (k, n))
     nbrs, d2 = _nearest(X, train_points, k)
-    out = np.zeros((X.shape[0], n))
+    return _kernel_matrix(nbrs, d2, n, eps)
+
+
+def _kernel_matrix(nbrs: np.ndarray, d2: np.ndarray, n: int, eps: float) -> np.ndarray:
+    """Dense (q, n) kernel rows from _nearest's indices and squared distances."""
+    out = np.zeros((nbrs.shape[0], n))
     np.put_along_axis(out, nbrs, np.exp(-d2 / eps), axis=1)
     return out
 

@@ -12,7 +12,7 @@ into any fitted parameter.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -26,12 +26,13 @@ from .dataset import (
     gen_circles,
     load_statlog,
 )
-from .embedding import build_augmented, embed_many, fit as ccdr_fit, refit_embed
-from .graph import heat_weights, kernel_rows, knn_graph, median_eps
+from .embedding import _check_fit, _extend, _solve, build_augmented, embed_many, refit_embed
+from .graph import _heat_graph, _kernel_matrix, _nearest, kernel_rows
 from .baselines import lda_fit, pca_fit
 from .spectral import generalized_eig
 
 PIPELINES = ("raw", "pca", "ccdr", "lda", "lapeig")
+_GRAPH_PIPELINES = ("ccdr", "lapeig")
 CLASSIFIERS = ("knn", "linear")
 
 CSV_HEADER = "pipeline,classifier,beta,m,graph_k,clf_k,error,ci_low,ci_high,wall_ms"
@@ -164,10 +165,28 @@ def fit_pipeline(
         mask = train.labels > 0
         emb = lda_fit(train.points[mask], train.labels[mask], m)
         return PipelineFit("lda", emb.transform(train.points), emb.transform, emb)
+    if pipeline in _GRAPH_PIPELINES:
+        return _fit_on_graph(
+            pipeline, train, m, graph_k, beta,
+            lambda: _heat_graph(train.points, graph_k, eps, eps_scale),
+            oos_full_kernel, oos_refit,
+        )[0]
+    raise ValueError("unknown pipeline %r" % pipeline)
+
+
+def _fit_on_graph(
+    pipeline, train, m, graph_k, beta, weights, oos_full_kernel, oos_refit
+):
+    """Fit ccdr or lapeig on the heat weights that weights() returns.
+
+    weights is called where each pipeline has always built its graph, so
+    errors surface in the same order whether it builds or looks one up.
+    Returns the PipelineFit and extend(K), which embeds unlabeled queries
+    from their k-nearest kernel rows K; extend is None when the transform
+    takes another path (full kernel or refit).
+    """
     if pipeline == "lapeig":
-        graph = knn_graph(train.points, graph_k)
-        width = median_eps(graph, train.points) * eps_scale if eps is None else eps
-        W = heat_weights(graph, train.points, width)
+        W = weights()
         if not 1 <= m <= train.n - 1:
             raise ValueError("m must satisfy 1 <= m <= n - 1 = %d" % (train.n - 1))
         aug = build_augmented(np.zeros((0, train.n)), W, 1.0)
@@ -176,30 +195,34 @@ def fit_pipeline(
         if lam.max(initial=0.0) >= 1.0 - 1e-9:
             raise ValueError("retained eigenvalue reaches 1; decrease m")
         coords = sol.vectors.copy()
+        centers = np.zeros((0, m))
         pts = train.points.copy()
 
-        def _extend(X, coords=coords, lam=lam, pts=pts, k=graph_k, width=width):
-            K = kernel_rows(np.asarray(X, dtype=np.float64), pts, k, width)
-            mass = K.sum(axis=1)
-            bad = np.nonzero(mass <= 0.0)[0]
-            if bad.size:
-                raise ValueError(
-                    "query %d outside model support: zero kernel mass" % int(bad[0])
-                )
-            return (K @ coords) / ((1.0 - lam)[None, :] * mass[:, None])
+        def extend(K):
+            return _extend(K, np.zeros(K.shape[0], dtype=np.int64), centers, coords, lam, 1.0)
 
-        return PipelineFit("lapeig", coords, _extend, (lam, width))
-    if pipeline == "ccdr":
-        model = ccdr_fit(train, k=graph_k, eps=eps, beta=beta, m=m, eps_scale=eps_scale)
-        if oos_refit:
-            def _transform(X, model=model):
-                X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-                return np.vstack([refit_embed(model, x) for x in X])
-        else:
-            def _transform(X, model=model, full=oos_full_kernel):
-                return embed_many(model, X, 0, full_kernel=full)
-        return PipelineFit("ccdr", model.embedding, _transform, model)
-    raise ValueError("unknown pipeline %r" % pipeline)
+        def transform(X):
+            return extend(kernel_rows(np.asarray(X, dtype=np.float64), pts, graph_k, W.eps))
+
+        return PipelineFit("lapeig", coords, transform, (lam, W.eps)), extend
+    _check_fit(train, beta, m)
+    model = _solve(train, weights(), graph_k, beta, m)
+
+    def extend(K):
+        return _extend(
+            K, np.zeros(K.shape[0], dtype=np.int64),
+            model.centers, model.embedding, model.eigenvalues, model.beta,
+        )
+
+    if oos_refit:
+        def transform(X):
+            X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+            return np.vstack([refit_embed(model, x) for x in X])
+    else:
+        def transform(X):
+            return embed_many(model, X, 0, full_kernel=oos_full_kernel)
+    direct = not (oos_refit or oos_full_kernel)
+    return PipelineFit("ccdr", model.embedding, transform, model), extend if direct else None
 
 
 def _axis(values, relevant: bool, placeholder):
@@ -212,8 +235,13 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     A grid point that violates a precondition becomes a row with nan
     metrics and the exception text in `note`; the sweep continues. Each
     embedding is computed independently per parameter key, so removing one
-    grid point never changes another row. With measure_wall off, wall_ms is
-    0 and a rerun with the same config and seed emits a byte-identical CSV.
+    grid point never changes another row. The heat weights and the test
+    points' kernel neighbours depend on graph_k alone, so they are built
+    once per graph_k and shared by every ccdr and lapeig point using it;
+    the result is the same bits as building them per point. With
+    measure_wall off, wall_ms is 0 and a rerun with the same config and
+    seed emits a byte-identical CSV; with it on, the first grid point that
+    uses a graph carries the graph's build time.
     """
     for p in cfg.pipelines:
         if p not in PIPELINES:
@@ -229,33 +257,15 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
         raise ValueError("test set must be fully labeled")
     if test.num_classes > train.num_classes:
         raise ValueError("test set has labels unseen in training")
-    clock = time.perf_counter if cfg.measure_wall else (lambda: 0.0)
-
-    emb_cache: dict = {}
-    nbr_cache: dict = {}
-    lin_cache: dict = {}
-    k_max = max(cfg.clf_ks) if "knn" in cfg.classifiers else 1
-
-    def embedded(pipeline, beta, m, graph_k):
-        key = (pipeline, beta, m, graph_k)
-        if key not in emb_cache:
-            t0 = clock()
-            try:
-                pf = fit_pipeline(
-                    pipeline, train, m=m, graph_k=graph_k, beta=beta,
-                    eps=cfg.eps, eps_scale=cfg.eps_scale,
-                    oos_full_kernel=cfg.oos_full_kernel, oos_refit=cfg.oos_refit,
-                )
-                test_emb = pf.transform(test.points)
-                emb_cache[key] = (pf, test_emb, (clock() - t0) * 1e3)
-            except (ValueError, np.linalg.LinAlgError) as exc:
-                emb_cache[key] = (exc, None, (clock() - t0) * 1e3)
-        return emb_cache[key]
-
+    ctx = _Sweep(
+        cfg, train, test,
+        labeled=train.labels > 0,
+        clock=time.perf_counter if cfg.measure_wall else (lambda: 0.0),
+        k_max=max(cfg.clf_ks) if "knn" in cfg.classifiers else 1,
+    )
     rows = []
-    labeled = train.labels > 0
     for pipeline in cfg.pipelines:
-        uses_graph = pipeline in ("ccdr", "lapeig")
+        uses_graph = pipeline in _GRAPH_PIPELINES
         uses_m = pipeline != "raw"
         uses_beta = pipeline == "ccdr"
         for classifier in cfg.classifiers:
@@ -264,49 +274,112 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
                     for graph_k in _axis(cfg.graph_ks, uses_graph, 0):
                         for clf_k in _axis(cfg.clf_ks, classifier == "knn", 0):
                             rows.append(
-                                _one_row(
-                                    cfg, train, test, labeled, embedded,
-                                    nbr_cache, lin_cache, k_max, clock,
-                                    pipeline, classifier, beta, m, graph_k, clf_k,
-                                )
+                                _one_row(ctx, pipeline, classifier, beta, m, graph_k, clf_k)
                             )
     rows.sort(key=lambda r: (r.pipeline, r.classifier, r.beta, r.m, r.graph_k, r.clf_k))
     return SweepReport(config=cfg, rows=tuple(rows))
 
 
-def _one_row(
-    cfg, train, test, labeled, embedded, nbr_cache, lin_cache, k_max, clock,
-    pipeline, classifier, beta, m, graph_k, clf_k,
-):
+@dataclass
+class _Sweep:
+    """What the grid points of one run_sweep call share.
+
+    emb, nbr and lin are keyed by (pipeline, beta, m, graph_k): the fitted
+    pipeline with its test embedding and fit time, the test points' sorted
+    neighbour labels, and the linear classifier. graphs holds each graph_k's
+    heat weights, or the exception building them raised; test_nbrs each
+    graph_k's (indices, squared distances) of the test points' nearest
+    training points.
+    """
+
+    cfg: ExperimentConfig
+    train: LabeledDataset
+    test: LabeledDataset
+    labeled: np.ndarray
+    clock: Callable
+    k_max: int
+    emb: dict = field(default_factory=dict)
+    nbr: dict = field(default_factory=dict)
+    lin: dict = field(default_factory=dict)
+    graphs: dict = field(default_factory=dict)
+    test_nbrs: dict = field(default_factory=dict)
+
+    def weights(self, graph_k):
+        if graph_k not in self.graphs:
+            try:
+                self.graphs[graph_k] = _heat_graph(
+                    self.train.points, graph_k, self.cfg.eps, self.cfg.eps_scale
+                )
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                self.graphs[graph_k] = exc
+        got = self.graphs[graph_k]
+        if isinstance(got, Exception):
+            raise got.with_traceback(None)
+        return got
+
+    def test_kernel(self, graph_k):
+        """The test points' k-nearest kernel rows, as kernel_rows builds them."""
+        if graph_k not in self.test_nbrs:
+            self.test_nbrs[graph_k] = _nearest(self.test.points, self.train.points, graph_k)
+        nbrs, d2 = self.test_nbrs[graph_k]
+        return _kernel_matrix(nbrs, d2, self.train.n, self.graphs[graph_k].eps)
+
+    def embedded(self, pipeline, beta, m, graph_k):
+        key = (pipeline, beta, m, graph_k)
+        if key not in self.emb:
+            cfg = self.cfg
+            t0 = self.clock()
+            try:
+                if pipeline in _GRAPH_PIPELINES:
+                    pf, extend = _fit_on_graph(
+                        pipeline, self.train, m, graph_k, beta,
+                        lambda: self.weights(graph_k),
+                        cfg.oos_full_kernel, cfg.oos_refit,
+                    )
+                    if extend is None:
+                        test_emb = pf.transform(self.test.points)
+                    else:
+                        test_emb = extend(self.test_kernel(graph_k))
+                else:
+                    pf = fit_pipeline(pipeline, self.train, m=m)
+                    test_emb = pf.transform(self.test.points)
+                self.emb[key] = (pf, test_emb, (self.clock() - t0) * 1e3)
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                self.emb[key] = (exc, None, (self.clock() - t0) * 1e3)
+        return self.emb[key]
+
+
+def _one_row(ctx: _Sweep, pipeline, classifier, beta, m, graph_k, clf_k):
     key = (pipeline, beta, m, graph_k)
-    fit_res, test_emb, fit_ms = embedded(pipeline, beta, m, graph_k)
+    fit_res, test_emb, fit_ms = ctx.embedded(pipeline, beta, m, graph_k)
     if isinstance(fit_res, Exception):
         return SweepRow(
             pipeline, classifier, beta, m, graph_k, clf_k,
             float("nan"), float("nan"), float("nan"), fit_ms, note=str(fit_res),
         )
+    train, test, clock = ctx.train, ctx.test, ctx.clock
     t0 = clock()
     try:
-        train_emb = fit_res.train_embedding[labeled]
-        train_labs = train.labels[labeled]
+        train_emb = fit_res.train_embedding[ctx.labeled]
+        train_labs = train.labels[ctx.labeled]
         if classifier == "knn":
-            if key not in nbr_cache:
-                nbr_cache[key] = _classify.sorted_neighbor_labels(
-                    train_emb, train_labs, test_emb, min(k_max, train_labs.size)
+            if key not in ctx.nbr:
+                ctx.nbr[key] = _classify.sorted_neighbor_labels(
+                    train_emb, train_labs, test_emb, min(ctx.k_max, train_labs.size)
                 )
-            nbr = nbr_cache[key]
+            nbr = ctx.nbr[key]
             if clf_k > nbr.shape[1]:
                 raise ValueError("clf_k = %d exceeds labeled size" % clf_k)
             pred = _classify.vote(nbr, clf_k, train.num_classes)
         else:
-            if key not in lin_cache:
-                lin_cache[key] = _classify.linear_fit(
+            if key not in ctx.lin:
+                ctx.lin[key] = _classify.linear_fit(
                     train_emb, train_labs, train.num_classes
                 )
-            pred = lin_cache[key].predict(test_emb)
+            pred = ctx.lin[key].predict(test_emb)
         err_count = int(np.sum(pred != test.labels))
         err = err_count / test.n
-        lo, hi = confidence_interval(err_count, test.n, cfg.ci_level)
+        lo, hi = confidence_interval(err_count, test.n, ctx.cfg.ci_level)
     except (ValueError, np.linalg.LinAlgError) as exc:
         return SweepRow(
             pipeline, classifier, beta, m, graph_k, clf_k,

@@ -8,9 +8,7 @@ from ccdr.classify import (
     accuracy,
     argmax_labels,
     error_rate,
-    knn_predict,
     linear_fit,
-    linear_predict,
     sorted_neighbor_labels,
     vote,
 )
@@ -65,7 +63,7 @@ def test_linear_separates_three_clusters():
     labels = np.repeat([1, 2, 3], 20)
     clf = linear_fit(Y, labels, 3)
     assert error_rate(clf.predict(Y), labels) == 0.0
-    assert np.array_equal(linear_predict(clf, Y), clf.predict(Y))
+    assert np.array_equal(clf.predict(Y), argmax_labels(Y @ clf.weights.T + clf.bias))
     assert clf.num_classes == 3
     assert clf.weights.shape == (3, 2) and clf.bias.shape == (3,)
 
@@ -98,26 +96,26 @@ def test_knn_memorizes_at_k_one():
     labels = np.array([1, 2, 2])
     clf = KnnClassifier(train, labels, 1, 2)
     assert np.array_equal(clf.predict(train), labels)
-    assert knn_predict(clf, np.array([1.0])) == 2
+    assert clf.predict(np.array([[1.0]]))[0] == 2
 
 
 def test_knn_k_equals_n_is_global_majority():
     clf = KnnClassifier(np.array([[0.0], [1.0], [2.0]]), np.array([1, 2, 2]), 3, 2)
-    assert knn_predict(clf, np.array([50.0])) == 2
-    assert knn_predict(clf, np.array([-50.0])) == 2
+    assert clf.predict(np.array([[50.0]]))[0] == 2
+    assert clf.predict(np.array([[-50.0]]))[0] == 2
 
 
 def test_knn_distance_tie_prefers_lower_training_index():
     train = np.array([[0.0], [2.0]])
     clf = KnnClassifier(train, np.array([2, 1]), 1, 2)
     # the query is equidistant; the stable sort keeps index 0 first
-    assert knn_predict(clf, np.array([1.0])) == 2
+    assert clf.predict(np.array([[1.0]]))[0] == 2
 
 
 def test_knn_vote_tie_prefers_lower_class():
     train = np.array([[0.0], [2.0]])
     clf = KnnClassifier(train, np.array([2, 1]), 2, 2)
-    assert knn_predict(clf, np.array([1.0])) == 1
+    assert clf.predict(np.array([[1.0]]))[0] == 1
 
 
 def test_knn_matches_brute_force():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -403,11 +404,39 @@ def test_sparse_fit_is_deterministic_and_satisfies_constraints():
 
 
 def test_fit_warns_on_disconnected_augmented_graph():
+    # ten unlabeled points far from every labeled one: their component has
+    # no class node, so its indicator is an eigenvector with eigenvalue 0
     ds = gaussian_classes(60)
-    far = ds.points + 1e3 * (ds.labels[:, None] == 1)  # class 1 moves far away
-    with pytest.warns(RuntimeWarning, match="augmented graph has 2 connected components"):
+    labels = ds.labels.copy()
+    labels[-10:] = 0
+    far = ds.points.copy()
+    far[-10:] += 1e3
+    with pytest.warns(
+        RuntimeWarning,
+        match="augmented graph has 2 connected components and 10 points sit "
+        "in components with no class node",
+    ):
+        model = fit(LabeledDataset(far, labels, 3), k=4, beta=0.5, m=2)
+    assert model.eigenvalues[0] < 1e-10
+
+
+def test_fit_is_silent_when_each_component_holds_a_class_node():
+    # class 1 far from the rest splits the graph along the class boundary,
+    # which is the separation the embedding is after
+    ds = gaussian_classes(60)
+    far = ds.points + 1e3 * (ds.labels[:, None] == 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         model = fit(LabeledDataset(far, ds.labels, 3), k=4, beta=0.5, m=2)
     assert model.eigenvalues[0] < 1e-10
+
+
+def test_two_circles_fit_raises_no_warning():
+    # the README example: each circle is one class and one component
+    train = gen_circles(n_per_class=100, radii=[1.0, 2.0], noise_sd=0.01, seed=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fit(train, k=4, beta=0.05, m=2)
 
 
 def test_fit_memory_stays_below_a_dense_augmented_matrix():

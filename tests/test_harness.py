@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from ccdr.classify import KnnClassifier
+import ccdr.classify
+import ccdr.graph
+from ccdr.classify import KnnClassifier, linear_fit
 from ccdr.dataset import (
     LabeledDataset,
     gen_circles,
     identity_remap,
     save_statlog,
 )
-from ccdr.embedding import embed_many
+from ccdr.embedding import embed_many, fit
 from ccdr.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -210,6 +212,96 @@ def test_run_sweep_rows_are_independent(circle_files):
         assert (a.pipeline, a.classifier, a.beta, a.m, a.graph_k, a.clf_k) == (
             b.pipeline, b.classifier, b.beta, b.m, b.graph_k, b.clf_k)
         assert a.error == b.error and a.ci_low == b.ci_low and a.ci_high == b.ci_high
+
+
+def _graph_grid(trn, tst, graph_ks):
+    return ExperimentConfig(
+        train_path=trn, test_path=tst, remap=identity_remap(2),
+        pipelines=("ccdr", "lapeig"), classifiers=("knn", "linear"),
+        betas=(0.05, 0.5), ms=(1, 2), graph_ks=graph_ks, clf_ks=(1, 3),
+        measure_wall=False,
+    )
+
+
+def _count_knn_graphs(monkeypatch):
+    calls = []
+    real = ccdr.graph.knn_graph
+
+    def counted(points, k):
+        calls.append(k)
+        return real(points, k)
+
+    monkeypatch.setattr(ccdr.graph, "knn_graph", counted)
+    return calls
+
+
+def test_run_sweep_builds_each_graph_once(circle_files, monkeypatch):
+    calls = _count_knn_graphs(monkeypatch)
+    rows = run_sweep(_graph_grid(*circle_files, graph_ks=(4, 6))).rows
+    # ccdr: 2 betas x 2 ms x 2 graph_ks; lapeig: 2 ms x 2 graph_ks; each
+    # point with 2 clf_k rows for knn and one for linear
+    assert len(rows) == (8 + 4) * 3
+    assert sorted(calls) == [4, 6]
+
+
+def test_run_sweep_rows_equal_the_uncached_path(circle_files, monkeypatch):
+    # the kNN classifier sees each grid point's embeddings once, in grid order
+    seen = []
+    real = ccdr.classify.sorted_neighbor_labels
+
+    def recorded(train_Y, train_labels, Q, k_max):
+        seen.append((train_Y, Q))
+        return real(train_Y, train_labels, Q, k_max)
+
+    monkeypatch.setattr(ccdr.classify, "sorted_neighbor_labels", recorded)
+    cfg = _graph_grid(*circle_files, graph_ks=(4, 6))
+    train, test = load_split(cfg)
+    lab = train.labels > 0
+    rows = run_sweep(cfg).rows
+    fits = {}
+    for pipeline in cfg.pipelines:
+        for beta in cfg.betas if pipeline == "ccdr" else (0.0,):
+            for m in cfg.ms:
+                for graph_k in cfg.graph_ks:
+                    pf = fit_pipeline(pipeline, train, m, graph_k=graph_k, beta=beta)
+                    fits[pipeline, beta, m, graph_k] = (pf.train_embedding, pf.transform(test.points))
+    assert len(seen) == len(fits)
+    for (train_Y, Q), (Y, Yq) in zip(seen, fits.values()):
+        assert np.array_equal(train_Y, Y[lab]) and np.array_equal(Q, Yq)
+    for r in rows:
+        Y, Yq = fits[r.pipeline, r.beta, r.m, r.graph_k]
+        if r.classifier == "knn":
+            clf = KnnClassifier(Y[lab], train.labels[lab], r.clf_k, 2)
+        else:
+            clf = linear_fit(Y[lab], train.labels[lab], 2)
+        errors = int(np.sum(clf.predict(Yq) != test.labels))
+        assert r.note == ""
+        assert (r.error, r.ci_low, r.ci_high) == (
+            errors / test.n, *confidence_interval(errors, test.n, cfg.ci_level))
+
+
+def test_run_sweep_failed_graph_repeats_its_note(circle_files, monkeypatch):
+    calls = _count_knn_graphs(monkeypatch)
+    rows = run_sweep(_graph_grid(*circle_files, graph_ks=(4, 500))).rows
+    bad = [r for r in rows if r.graph_k == 500]
+    good = [r for r in rows if r.graph_k == 4]
+    assert len(bad) == len(good) == 18
+    assert {r.note for r in bad} == {"k must satisfy 1 <= k <= n - 1, got k=500, n=80"}
+    assert all(math.isnan(r.error) for r in bad)
+    assert all(r.note == "" and np.isfinite(r.error) for r in good)
+    assert sorted(calls) == [4, 500]
+
+
+def test_duplicate_points_need_an_explicit_eps():
+    # 20 distinct points, each 6 times: every kNN edge has length 0
+    rng = np.random.default_rng(3)
+    pts = np.repeat(rng.standard_normal((20, 2)), 6, axis=0)
+    ds = LabeledDataset(pts, np.repeat([1, 2], 60), 2)
+    msg = "median squared kNN edge length is 0, duplicate points\\? Pass eps explicitly"
+    with pytest.raises(ValueError, match=msg):
+        fit(ds, k=4, beta=0.5, m=2)
+    with pytest.raises(ValueError, match=msg):
+        fit_pipeline("lapeig", ds, 2, graph_k=4)
 
 
 def test_run_sweep_never_reads_test_statistics(circle_files, tmp_path):
