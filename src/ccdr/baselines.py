@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .embedding import build_augmented
+from .embedding import _spectrum
 from .graph import WeightMatrix
-from .spectral import generalized_eig, sym_eig_desc, _fix_signs
+from .spectral import sym_eig_desc, _fix_signs
 
 # Eigenvalues at or below this are treated as zero energy in MDS.
 MDS_EIG_TOL = 1e-10
@@ -155,8 +155,9 @@ def laplacian_eigenmap(W, m: int) -> np.ndarray:
     """Eigenmap coordinates: generalized eigenvectors 2..m+1 of (D - W, D).
 
     W may be a WeightMatrix or a symmetric nonnegative array; every vertex
-    needs positive degree. D - W is the augmented Laplacian with no class
-    nodes and beta = 1.
+    needs positive degree. This is the CCDR spectrum with no class nodes
+    and beta = 1, without CCDR's requirement that retained eigenvalues stay
+    below 1; a disconnected W gives the fit's RuntimeWarning.
     """
     shape = W.matrix.shape if isinstance(W, WeightMatrix) else np.shape(W)
     n = shape[0]
@@ -164,6 +165,4 @@ def laplacian_eigenmap(W, m: int) -> np.ndarray:
         raise ValueError("W must be square")
     if not 1 <= m <= n - 1:
         raise ValueError("m must satisfy 1 <= m <= n - 1 = %d" % (n - 1))
-    aug = build_augmented(np.zeros((0, n)), W, 1.0)
-    sol = generalized_eig(aug.lap, aug.deg, m, exclude_ones=True)
-    return sol.vectors.copy()
+    return _spectrum(np.zeros((0, n)), W, 1.0, m).vectors.copy()

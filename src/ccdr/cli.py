@@ -259,6 +259,8 @@ def _cmd_load_check(opts) -> int:
 
 def _cmd_embed(opts) -> int:
     _require(opts, "train", "out")
+    if opts["model_out"] and opts["pipeline"] != "ccdr":
+        raise ValueError("--model-out only applies to the ccdr pipeline")
     remap = _parse_remap(opts["remap"])
     train = load_statlog(_resolve(opts["train"]), remap=remap)
     if opts["standardize"]:
@@ -276,8 +278,6 @@ def _cmd_embed(opts) -> int:
         % (train.n, pf.train_embedding.shape[1], opts["pipeline"], opts["out"])
     )
     if opts["model_out"]:
-        if opts["pipeline"] != "ccdr":
-            raise ValueError("--model-out only applies to the ccdr pipeline")
         save_model(pf.detail, opts["model_out"])
         print("saved model to %s" % opts["model_out"])
     return 0

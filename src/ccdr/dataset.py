@@ -116,10 +116,15 @@ def class_counts(ds: LabeledDataset) -> np.ndarray:
 
 def make_indicator(ds: LabeledDataset) -> ClassIndicator:
     """Build the L x n class indicator for a dataset."""
-    C = np.zeros((ds.num_classes, ds.n), dtype=np.float64)
-    labeled = ds.labels > 0
-    C[ds.labels[labeled] - 1, np.nonzero(labeled)[0]] = 1.0
-    return ClassIndicator(C)
+    return ClassIndicator(_indicator(ds.labels, ds.num_classes))
+
+
+def _indicator(labels: np.ndarray, L: int) -> np.ndarray:
+    """The (L, n) 0/1 indicator of labels in {0, .., L}; L may be 0."""
+    C = np.zeros((L, labels.size), dtype=np.float64)
+    labeled = labels > 0
+    C[labels[labeled] - 1, np.nonzero(labeled)[0]] = 1.0
+    return C
 
 
 def read_points(path, remap: dict[int, int] | None = None):

@@ -20,11 +20,15 @@ A new point x with optional label c is embedded without refitting through
                 / [(1 - lambda_l) (1(c != 0) + b sum_j K(x, x_j))]
 
 which reproduces the training coordinates when K reproduces the point's
-weight row.
+weight row. With no class nodes (L = 0) and b = 1 the problem is the
+Laplacian eigenmap and f is its Nystrom extension, so eigenmaps are fitted
+and extended by the same code.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -33,17 +37,10 @@ import scipy.sparse as sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
-from .dataset import LabeledDataset, ClassIndicator, make_indicator, class_counts
-from .graph import (
-    WeightMatrix,
-    _check_finite,
-    _heat_graph,
-    heat_weights,
-    kernel_row,
-    kernel_rows,
-    knn_graph,
-)
-from .spectral import generalized_eig
+from .dataset import LabeledDataset, ClassIndicator, _indicator, class_counts
+from .graph import WeightMatrix, _check_finite, _heat_graph, kernel_rows
+from .graph import knn_graph  # noqa: F401  perfbench's tracer test patches this name
+from .spectral import EigenSolution, generalized_eig
 
 # Retained eigenvalues must stay clear of 1 for the extension denominator.
 LAMBDA_TOL = 1e-9
@@ -170,7 +167,8 @@ def fit(
     connected component of the augmented graph holds no class node.
     """
     _check_fit(ds, beta, m)
-    return _solve(ds, _heat_graph(ds.points, k, eps, eps_scale), k, beta, m)
+    W = _heat_graph(ds.points, k, eps, eps_scale)
+    return _solve(ds.points, ds.labels, ds.num_classes, W, k, beta, m)
 
 
 def _check_fit(ds: LabeledDataset, beta: float, m: int) -> None:
@@ -189,12 +187,24 @@ def _check_fit(ds: LabeledDataset, beta: float, m: int) -> None:
         raise ValueError("class %d has no labeled points" % (int(np.argmin(counts)) + 1))
 
 
-def _solve(ds: LabeledDataset, W: WeightMatrix, k: int, beta: float, m: int) -> CcdrModel:
-    """The beta- and m-dependent part of fit, on heat weights W built with
-    graph degree k from ds.points; the arguments have passed _check_fit."""
-    L = ds.num_classes
-    C = make_indicator(ds)
+def _warn_caller(message: str) -> None:
+    """RuntimeWarning attributed to the first caller outside this package."""
+    here = os.path.dirname(__file__)
+    level, frame = 2, sys._getframe(1)
+    while frame is not None and frame.f_code.co_filename.startswith(here):
+        level, frame = level + 1, frame.f_back
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
+
+
+def _spectrum(C: np.ndarray, W, beta: float, m: int) -> EigenSolution:
+    """The m smallest nontrivial eigenpairs of the center-augmented graph.
+
+    This is the one spectral solve of the package: CCDR with L class rows
+    in C, and the Laplacian eigenmap with L = 0 and beta = 1. Warns
+    (RuntimeWarning) when some connected component holds no class node.
+    """
     aug = build_augmented(C, W, beta)
+    L = aug.num_classes
     parts, comp = connected_components(aug.lap, directed=False)
     if parts > 1:
         # a component with no class node carries no label information, and
@@ -203,21 +213,36 @@ def _solve(ds: LabeledDataset, W: WeightMatrix, k: int, beta: float, m: int) -> 
         anchored[comp[:L]] = True
         loose = int(np.count_nonzero(~anchored[comp[L:]]))
         if loose:
-            warnings.warn(
-                "augmented graph has %d connected components and %d points sit "
-                "in components with no class node; eigenvalues near 0 then only "
-                "tell the components apart" % (parts, loose),
-                RuntimeWarning,
-                stacklevel=3,
-            )
+            what = "graph has %d connected components" % parts
+            if L:
+                what = "augmented %s and %d points sit in components with no class node" % (
+                    what, loose)
+            _warn_caller(what + "; eigenvalues near 0 then only tell the components apart")
     # The constant vector u_1 never enters: the solve is restricted to its
     # complement, which on a connected graph is the same as discarding it.
-    sol = generalized_eig(aug.lap, aug.deg, m, exclude_ones=True)
+    return generalized_eig(aug.lap, aug.deg, m, exclude_ones=True)
+
+
+def _solve(
+    points: np.ndarray,
+    labels: np.ndarray,
+    L: int,
+    W: WeightMatrix,
+    k: int,
+    beta: float,
+    m: int,
+) -> CcdrModel:
+    """The beta- and m-dependent part of fit, on heat weights W built with
+    graph degree k from points. labels lie in {0, .., L}; L = 0 with
+    beta = 1 is the Laplacian eigenmap. The caller has checked beta, m and
+    that every class has a labeled point."""
+    C = _indicator(labels, L)
+    sol = _spectrum(C, W, beta, m)
     lam = sol.values.copy()
     if lam.max() >= 1.0 - LAMBDA_TOL:
         raise ValueError(
-            "retained eigenvalue %.6g reaches 1; decrease m or increase beta"
-            % float(lam.max())
+            "retained eigenvalue %.6g reaches 1; decrease m%s"
+            % (float(lam.max()), " or increase beta" if L else "")
         )
     U = sol.vectors
     model = CcdrModel(
@@ -228,10 +253,10 @@ def _solve(ds: LabeledDataset, W: WeightMatrix, k: int, beta: float, m: int) -> 
         eps=W.eps,
         k=int(k),
         m=int(m),
-        train_points=ds.points.copy(),
-        train_labels=ds.labels.copy(),
+        train_points=points.copy(),
+        train_labels=labels.copy(),
         num_classes=L,
-        class_sizes=class_counts(ds),
+        class_sizes=np.bincount(labels, minlength=L + 1)[1:],
     )
     res = constraint_residuals(model, W=W, C=C)
     worst = max(res.values())
@@ -256,20 +281,15 @@ def constraint_residuals(model: CcdrModel, W=None, C=None) -> dict[str, float]:
     row:    y_i = (sum_k c_ki z_k + b sum_j w_ij y_j)
                   / ((1 - lambda) (sum_k c_ki + b sum_j w_ij))
 
-    W and C default to a rebuild from the stored training data.
+    W and C default to a rebuild from the stored training data. With no
+    classes (L = 0) the center identity is empty and its residual is 0.
     """
     if C is None:
-        C = make_indicator(
-            LabeledDataset(
-                model.train_points, model.train_labels, model.num_classes
-            )
-        )
+        C = _indicator(model.train_labels, model.num_classes)
     if isinstance(C, ClassIndicator):
         C = C.matrix
     if W is None:
-        W = heat_weights(
-            knn_graph(model.train_points, model.k), model.train_points, model.eps
-        )
+        W = _heat_graph(model.train_points, model.k, model.eps)
     Wmat = W.matrix if isinstance(W, WeightMatrix) else np.asarray(W)
     lam = model.eigenvalues
     Z = model.centers
@@ -283,7 +303,7 @@ def constraint_residuals(model: CcdrModel, W=None, C=None) -> dict[str, float]:
     res_mean = float(np.abs(Zhat @ deg).max())
     cy = C @ Y
     z_rhs = cy / (model.class_sizes.astype(float)[:, None] * (1.0 - lam)[None, :])
-    res_center = float(np.abs(Z - z_rhs).max())
+    res_center = float(np.abs(Z - z_rhs).max(initial=0.0))
     num = C.T @ Z + model.beta * (Wmat @ Y)
     den = (labeled + model.beta * w_deg)[:, None] * (1.0 - lam)[None, :]
     res_row = float(np.abs(Y - num / den).max())
@@ -328,8 +348,9 @@ def embed_oos(
 
     The kernel row keeps the k nearest training points by default;
     full_kernel=True uses every training point. A precomputed length-n
-    `weights` vector overrides both. Raises "query outside model support"
-    when the denominator vanishes (unlabeled query with zero kernel mass).
+    `weights` vector overrides both. This is row 0 of embed_many, and it
+    raises the same "query 0 outside model support" error when the
+    denominator vanishes (unlabeled query with zero kernel mass).
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.shape != (model.d,):
@@ -338,25 +359,11 @@ def embed_oos(
     if not 0 <= c <= model.num_classes:
         raise ValueError("label c must lie in {0, .., %d}" % model.num_classes)
     if weights is None:
-        if full_kernel:
-            _check_finite(x[None, :])
-            d2 = cdist(x[None, :], model.train_points, "sqeuclidean")[0]
-            weights = np.exp(-d2 / model.eps)
-        else:
-            weights = kernel_row(x, model.train_points, model.k, model.eps)
-    else:
-        weights = np.asarray(weights, dtype=np.float64).ravel()
-        if weights.shape != (model.n,):
-            raise ValueError("weights must have length n = %d" % model.n)
-    mass = float(weights.sum())
-    lab = 1.0 if c > 0 else 0.0
-    den = lab + model.beta * mass
-    if den <= 0.0:
-        raise ValueError("query outside model support: zero kernel mass")
-    num = model.beta * (weights @ model.embedding)
-    if c > 0:
-        num = num + model.centers[c - 1]
-    return num / ((1.0 - model.eigenvalues) * den)
+        return embed_many(model, x[None], c, full_kernel)[0]
+    weights = np.asarray(weights, dtype=np.float64).ravel()
+    if weights.shape != (model.n,):
+        raise ValueError("weights must have length n = %d" % model.n)
+    return _extend(model, weights[None], np.array([c]))[0]
 
 
 def embed_many(
@@ -380,32 +387,25 @@ def embed_many(
         K = np.exp(-cdist(X, model.train_points, "sqeuclidean") / model.eps)
     else:
         K = kernel_rows(X, model.train_points, model.k, model.eps)
-    return _extend(K, cs, model.centers, model.embedding, model.eigenvalues, model.beta)
+    return _extend(model, K, cs)
 
 
-def _extend(
-    K: np.ndarray,
-    cs: np.ndarray,
-    centers: np.ndarray,
-    embedding: np.ndarray,
-    eigenvalues: np.ndarray,
-    beta: float,
-) -> np.ndarray:
+def _extend(model: CcdrModel, K: np.ndarray, cs: np.ndarray) -> np.ndarray:
     """The extension formula for kernel rows K (q, n) and labels cs (0 =
-    unlabeled). With no labeled query and beta = 1 it is the eigenmap
+    unlabeled). For an eigenmap model (L = 0, beta = 1) it is the Nystrom
     extension sum_j K_ij y_j / ((1 - lambda) sum_j K_ij), bit for bit."""
     lab = (cs > 0).astype(np.float64)
-    den = lab + beta * K.sum(axis=1)
+    den = lab + model.beta * K.sum(axis=1)
     bad = np.nonzero(den <= 0.0)[0]
     if bad.size:
         raise ValueError(
             "query %d outside model support: zero kernel mass" % int(bad[0])
         )
-    num = beta * (K @ embedding)
+    num = model.beta * (K @ model.embedding)
     labeled = np.nonzero(cs > 0)[0]
     if labeled.size:
-        num[labeled] += centers[cs[labeled] - 1]
-    return num / ((1.0 - eigenvalues)[None, :] * den[:, None])
+        num[labeled] += model.centers[cs[labeled] - 1]
+    return num / ((1.0 - model.eigenvalues)[None, :] * den[:, None])
 
 
 def refit_embed(model: CcdrModel, x: np.ndarray) -> np.ndarray:
@@ -420,10 +420,13 @@ def refit_embed(model: CcdrModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.shape != (model.d,):
         raise ValueError("x must have dimension %d" % model.d)
+    _check_finite(x[None])
     pts = np.vstack([model.train_points, x[None, :]])
     labs = np.concatenate([model.train_labels, [0]])
-    ds = LabeledDataset(pts, labs, model.num_classes)
-    refit = fit(ds, k=model.k, eps=model.eps, beta=model.beta, m=model.m)
+    refit = _solve(
+        pts, labs, model.num_classes, _heat_graph(pts, model.k, model.eps),
+        model.k, model.beta, model.m,
+    )
     flip = np.sign(
         np.einsum("ij,ij->j", refit.embedding[:-1], model.embedding)
     )

@@ -26,10 +26,9 @@ from .dataset import (
     gen_circles,
     load_statlog,
 )
-from .embedding import _check_fit, _extend, _solve, build_augmented, embed_many, refit_embed
-from .graph import _heat_graph, _kernel_matrix, _nearest, kernel_rows
+from .embedding import _check_fit, _extend, _solve, embed_many, refit_embed
+from .graph import _heat_graph, _kernel_matrix, _nearest
 from .baselines import lda_fit, pca_fit
-from .spectral import generalized_eig
 
 PIPELINES = ("raw", "pca", "ccdr", "lda", "lapeig")
 _GRAPH_PIPELINES = ("ccdr", "lapeig")
@@ -49,6 +48,10 @@ class ExperimentConfig:
     or a synthetic spec (synth = dict with n_per_class, radii, noise_sd);
     synthetic test data uses seed + 1. remap=None means the satimage label
     table. eps=None selects the median heuristic scaled by eps_scale.
+    oos_full_kernel and oos_refit choose how test points reach every graph
+    pipeline's embedding (ccdr and lapeig alike): the full heat kernel over
+    all training points, or a refit with the point appended, in place of
+    the k-nearest kernel rows.
     """
 
     train_path: str | None = None
@@ -170,7 +173,7 @@ def fit_pipeline(
             pipeline, train, m, graph_k, beta,
             lambda: _heat_graph(train.points, graph_k, eps, eps_scale),
             oos_full_kernel, oos_refit,
-        )[0]
+        )
     raise ValueError("unknown pipeline %r" % pipeline)
 
 
@@ -179,41 +182,21 @@ def _fit_on_graph(
 ):
     """Fit ccdr or lapeig on the heat weights that weights() returns.
 
-    weights is called where each pipeline has always built its graph, so
-    errors surface in the same order whether it builds or looks one up.
-    Returns the PipelineFit and extend(K), which embeds unlabeled queries
-    from their k-nearest kernel rows K; extend is None when the transform
-    takes another path (full kernel or refit).
+    lapeig is the CCDR model with no class nodes and beta = 1, so both
+    share one solve, one model type and one extension. weights is called
+    where each pipeline has always built its graph, so errors surface in
+    the same order whether it builds or looks one up.
     """
     if pipeline == "lapeig":
         W = weights()
         if not 1 <= m <= train.n - 1:
             raise ValueError("m must satisfy 1 <= m <= n - 1 = %d" % (train.n - 1))
-        aug = build_augmented(np.zeros((0, train.n)), W, 1.0)
-        sol = generalized_eig(aug.lap, aug.deg, m, exclude_ones=True)
-        lam = sol.values
-        if lam.max(initial=0.0) >= 1.0 - 1e-9:
-            raise ValueError("retained eigenvalue reaches 1; decrease m")
-        coords = sol.vectors.copy()
-        centers = np.zeros((0, m))
-        pts = train.points.copy()
-
-        def extend(K):
-            return _extend(K, np.zeros(K.shape[0], dtype=np.int64), centers, coords, lam, 1.0)
-
-        def transform(X):
-            return extend(kernel_rows(np.asarray(X, dtype=np.float64), pts, graph_k, W.eps))
-
-        return PipelineFit("lapeig", coords, transform, (lam, W.eps)), extend
-    _check_fit(train, beta, m)
-    model = _solve(train, weights(), graph_k, beta, m)
-
-    def extend(K):
-        return _extend(
-            K, np.zeros(K.shape[0], dtype=np.int64),
-            model.centers, model.embedding, model.eigenvalues, model.beta,
+        model = _solve(train.points, np.zeros(train.n, dtype=np.int64), 0, W, graph_k, 1.0, m)
+    else:
+        _check_fit(train, beta, m)
+        model = _solve(
+            train.points, train.labels, train.num_classes, weights(), graph_k, beta, m
         )
-
     if oos_refit:
         def transform(X):
             X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -221,8 +204,7 @@ def _fit_on_graph(
     else:
         def transform(X):
             return embed_many(model, X, 0, full_kernel=oos_full_kernel)
-    direct = not (oos_refit or oos_full_kernel)
-    return PipelineFit("ccdr", model.embedding, transform, model), extend if direct else None
+    return PipelineFit(pipeline, model.embedding, transform, model)
 
 
 def _axis(values, relevant: bool, placeholder):
@@ -331,15 +313,17 @@ class _Sweep:
             t0 = self.clock()
             try:
                 if pipeline in _GRAPH_PIPELINES:
-                    pf, extend = _fit_on_graph(
+                    pf = _fit_on_graph(
                         pipeline, self.train, m, graph_k, beta,
                         lambda: self.weights(graph_k),
                         cfg.oos_full_kernel, cfg.oos_refit,
                     )
-                    if extend is None:
+                    if cfg.oos_full_kernel or cfg.oos_refit:
                         test_emb = pf.transform(self.test.points)
                     else:
-                        test_emb = extend(self.test_kernel(graph_k))
+                        # pf.transform on the cached k-nearest kernel rows
+                        unlabeled = np.zeros(self.test.n, dtype=np.int64)
+                        test_emb = _extend(pf.detail, self.test_kernel(graph_k), unlabeled)
                 else:
                     pf = fit_pipeline(pipeline, self.train, m=m)
                     test_emb = pf.transform(self.test.points)

@@ -258,7 +258,8 @@ def test_laplacian_eigenmap_two_components_split_by_sign():
     W = np.zeros((4, 4))
     W[0, 1] = W[1, 0] = 1.0
     W[2, 3] = W[3, 2] = 1.0
-    Y = laplacian_eigenmap(W, 1).ravel()
+    with pytest.warns(RuntimeWarning, match="graph has 2 connected components"):
+        Y = laplacian_eigenmap(W, 1).ravel()
     s = np.sign(Y)
     assert s[0] == s[1] and s[2] == s[3] and s[0] != s[2]
 

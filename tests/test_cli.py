@@ -74,6 +74,8 @@ def test_embed_model_out_requires_ccdr(split_files, tmp_path, capsys):
     ])
     assert rc == 2
     assert "error: --model-out only applies to the ccdr pipeline" in capsys.readouterr().err
+    # the option is checked before anything is fitted or written
+    assert not (tmp_path / "e.csv").exists()
 
 
 def test_oos_extension_and_brute_force(split_files, tmp_path):

@@ -14,7 +14,9 @@ from ccdr.dataset import (
     identity_remap,
     save_statlog,
 )
-from ccdr.embedding import embed_many, fit
+from ccdr.baselines import laplacian_eigenmap
+from ccdr.embedding import constraint_residuals, embed_many, fit, refit_embed
+from ccdr.graph import heat_weights, knn_graph, median_eps
 from ccdr.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -139,6 +141,41 @@ def test_fit_pipeline_refit_transform_is_deterministic():
     b = pf.transform(q)
     assert np.array_equal(a, b)
     assert a.shape == (2, 2) and np.all(np.isfinite(a))
+
+
+def test_lapeig_is_ccdr_with_no_class_nodes():
+    train = gen_circles(30, [1.0, 2.0], 0.02, seed=4)
+    pf = fit_pipeline("lapeig", train, 2, graph_k=4)
+    model = pf.detail
+    assert model.num_classes == 0 and model.centers.shape == (0, 2)
+    assert model.beta == 1.0 and not model.train_labels.any()
+    g = knn_graph(train.points, 4)
+    W = heat_weights(g, train.points, median_eps(g, train.points))
+    assert np.array_equal(pf.train_embedding, laplacian_eigenmap(W, 2))
+    # the default rebuild of W and C reproduces the model's identities
+    res = constraint_residuals(model)
+    assert set(res) == {"gram", "mean", "center", "row"}
+    assert max(res.values()) <= 1e-8 and res["center"] == 0.0
+
+
+def test_lapeig_honours_the_oos_flags():
+    train = gen_circles(20, [1.0, 2.0], 0.02, seed=5)
+    q = np.array([[0.5, 0.5], [-1.2, 0.3], [3.0, 0.0]])
+    full = fit_pipeline("lapeig", train, 2, graph_k=4, oos_full_kernel=True)
+    assert np.array_equal(full.transform(q), embed_many(full.detail, q, 0, full_kernel=True))
+    refit = fit_pipeline("lapeig", train, 2, graph_k=4, oos_refit=True)
+    want = np.vstack([refit_embed(refit.detail, x) for x in q])
+    assert np.array_equal(refit.transform(q), want)
+    plain = fit_pipeline("lapeig", train, 2, graph_k=4)
+    assert not np.array_equal(plain.transform(q[:2]), full.transform(q[:2]))
+
+
+def test_lapeig_eigenvalue_reaching_one_names_only_m():
+    # a path graph's spectrum reaches 2, so a full band cannot stay below 1
+    pts = np.arange(8.0)[:, None]
+    ds = LabeledDataset(pts, np.repeat([1, 2], 4), 2)
+    with pytest.raises(ValueError, match="retained eigenvalue .* reaches 1; decrease m$"):
+        fit_pipeline("lapeig", ds, 7, graph_k=1)
 
 
 def test_run_sweep_rows_and_collapsed_axes(circle_files):
