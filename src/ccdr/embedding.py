@@ -348,22 +348,25 @@ def embed_oos(
 
     The kernel row keeps the k nearest training points by default;
     full_kernel=True uses every training point. A precomputed length-n
-    `weights` vector overrides both. This is row 0 of embed_many, and it
-    raises the same "query 0 outside model support" error when the
-    denominator vanishes (unlabeled query with zero kernel mass).
+    `weights` vector, finite and nonnegative, overrides both. This is row 0
+    of embed_many and raises its "query 0 outside model support" error when
+    an unlabeled query has zero kernel mass.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.shape != (model.d,):
         raise ValueError("x must have dimension %d" % model.d)
-    c = int(c)
-    if not 0 <= c <= model.num_classes:
+    if np.ndim(c) or not (0 <= c <= model.num_classes and c % 1 == 0):
         raise ValueError("label c must lie in {0, .., %d}" % model.num_classes)
     if weights is None:
         return embed_many(model, x[None], c, full_kernel)[0]
     weights = np.asarray(weights, dtype=np.float64).ravel()
     if weights.shape != (model.n,):
         raise ValueError("weights must have length n = %d" % model.n)
-    return _extend(model, weights[None], np.array([c]))[0]
+    bad = np.nonzero(~np.isfinite(weights) | (weights < 0))[0]
+    if bad.size:
+        raise ValueError("weight %d is %s; weights must be finite and nonnegative"
+                         % (bad[0], weights[bad[0]]))
+    return _extend(model, weights[None], np.array([c], dtype=np.int64))[0]
 
 
 def embed_many(
@@ -372,16 +375,18 @@ def embed_many(
     c: np.ndarray | int = 0,
     full_kernel: bool = False,
 ) -> np.ndarray:
-    """Embed a batch of points; c is one label or a vector of labels."""
+    """Embed a batch of points; c is one label or a vector of labels. With
+    the k-nearest kernel (the default) a row does not depend on its batch."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.d:
         raise ValueError("X must be q x %d" % model.d)
     q = X.shape[0]
-    cs = np.full(q, int(c), dtype=np.int64) if np.isscalar(c) else np.asarray(c, dtype=np.int64)
+    cs = np.full(q, c) if np.ndim(c) == 0 else np.asarray(c)
     if cs.shape != (q,):
         raise ValueError("c must be a scalar or a length-q vector")
-    if cs.min(initial=0) < 0 or cs.max(initial=0) > model.num_classes:
+    if cs.min(initial=0) < 0 or cs.max(initial=0) > model.num_classes or (cs % 1).any():
         raise ValueError("labels must lie in {0, .., %d}" % model.num_classes)
+    cs = cs.astype(np.int64)
     if full_kernel:
         _check_finite(X)
         K = np.exp(-cdist(X, model.train_points, "sqeuclidean") / model.eps)
@@ -390,18 +395,31 @@ def embed_many(
     return _extend(model, K, cs)
 
 
-def _extend(model: CcdrModel, K: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """The extension formula for kernel rows K (q, n) and labels cs (0 =
-    unlabeled). For an eigenmap model (L = 0, beta = 1) it is the Nystrom
-    extension sum_j K_ij y_j / ((1 - lambda) sum_j K_ij), bit for bit."""
+def _extend(model: CcdrModel, K, cs: np.ndarray) -> np.ndarray:
+    """The extension formula for kernel rows K and labels cs (0 = unlabeled).
+
+    K is kernel_rows' (nbrs, w), whose k terms are added one column at a
+    time, nearest first, so a row gets the same bits in any batch; or dense
+    (q, n) weights, taken through one BLAS product whose summation order can
+    change a row's last bits with its batch. For an eigenmap model (L = 0,
+    beta = 1) this is the Nystrom extension sum_j K_ij y_j / ((1 - lambda)
+    sum_j K_ij), bit for bit."""
+    if isinstance(K, tuple):
+        nbrs, w = K
+        terms = model.embedding[nbrs] * w[:, :, None]
+        mass, wy = w[:, 0], terms[:, 0]
+        for t in range(1, w.shape[1]):
+            mass, wy = mass + w[:, t], wy + terms[:, t]
+    else:
+        mass, wy = K.sum(axis=1), K @ model.embedding
     lab = (cs > 0).astype(np.float64)
-    den = lab + model.beta * K.sum(axis=1)
+    den = lab + model.beta * mass
     bad = np.nonzero(den <= 0.0)[0]
     if bad.size:
         raise ValueError(
             "query %d outside model support: zero kernel mass" % int(bad[0])
         )
-    num = model.beta * (K @ model.embedding)
+    num = model.beta * wy
     labeled = np.nonzero(cs > 0)[0]
     if labeled.size:
         num[labeled] += model.centers[cs[labeled] - 1]

@@ -182,21 +182,15 @@ def _heat_graph(
     return heat_weights(graph, points, eps)
 
 
-def kernel_row(
-    x: np.ndarray, train_points: np.ndarray, k: int, eps: float
-) -> np.ndarray:
-    """kernel_rows for a single query x, shape (n,)."""
-    return kernel_rows(np.asarray(x, dtype=np.float64).reshape(1, -1), train_points, k, eps)[0]
-
-
 def kernel_rows(
     X: np.ndarray, train_points: np.ndarray, k: int, eps: float
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Heat-kernel weights from each query to its k nearest training points.
 
-    Entry (i, j) is exp(-||x_i - x_j||^2 / eps) when x_j is among the k
-    nearest training points to x_i (ties by ascending index) and 0
-    otherwise; shape (q, n). Non-finite queries are an error.
+    Returns (nbrs, w), both (q, k): nbrs[i] indexes the k nearest training
+    points to x_i, nearest first (ties by ascending index), and
+    w[i, t] = exp(-||x_i - x_nbrs[i, t]||^2 / eps). Every other training
+    point has weight 0. Non-finite queries are an error.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -208,14 +202,7 @@ def kernel_rows(
     if not 1 <= k < n:
         raise ValueError("k must satisfy 1 <= k <= n - 1, got k=%d, n=%d" % (k, n))
     nbrs, d2 = _nearest(X, train_points, k)
-    return _kernel_matrix(nbrs, d2, n, eps)
-
-
-def _kernel_matrix(nbrs: np.ndarray, d2: np.ndarray, n: int, eps: float) -> np.ndarray:
-    """Dense (q, n) kernel rows from _nearest's indices and squared distances."""
-    out = np.zeros((nbrs.shape[0], n))
-    np.put_along_axis(out, nbrs, np.exp(-d2 / eps), axis=1)
-    return out
+    return nbrs, np.exp(-d2 / eps)
 
 
 def export_edges_csv(wm: WeightMatrix, path) -> None:

@@ -27,7 +27,7 @@ from .dataset import (
     load_statlog,
 )
 from .embedding import _check_fit, _extend, _solve, embed_many, refit_embed
-from .graph import _heat_graph, _kernel_matrix, _nearest
+from .graph import _heat_graph, kernel_rows
 from .baselines import lda_fit, pca_fit
 
 PIPELINES = ("raw", "pca", "ccdr", "lda", "lapeig")
@@ -218,7 +218,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     metrics and the exception text in `note`; the sweep continues. Each
     embedding is computed independently per parameter key, so removing one
     grid point never changes another row. The heat weights and the test
-    points' kernel neighbours depend on graph_k alone, so they are built
+    points' kernel rows depend on graph_k alone, so they are built
     once per graph_k and shared by every ccdr and lapeig point using it;
     the result is the same bits as building them per point. With
     measure_wall off, wall_ms is 0 and a rerun with the same config and
@@ -269,9 +269,8 @@ class _Sweep:
     emb, nbr and lin are keyed by (pipeline, beta, m, graph_k): the fitted
     pipeline with its test embedding and fit time, the test points' sorted
     neighbour labels, and the linear classifier. graphs holds each graph_k's
-    heat weights, or the exception building them raised; test_nbrs each
-    graph_k's (indices, squared distances) of the test points' nearest
-    training points.
+    heat weights, or the exception building them raised; test_kernels each
+    graph_k's kernel_rows of the test points.
     """
 
     cfg: ExperimentConfig
@@ -284,7 +283,7 @@ class _Sweep:
     nbr: dict = field(default_factory=dict)
     lin: dict = field(default_factory=dict)
     graphs: dict = field(default_factory=dict)
-    test_nbrs: dict = field(default_factory=dict)
+    test_kernels: dict = field(default_factory=dict)
 
     def weights(self, graph_k):
         if graph_k not in self.graphs:
@@ -298,13 +297,6 @@ class _Sweep:
         if isinstance(got, Exception):
             raise got.with_traceback(None)
         return got
-
-    def test_kernel(self, graph_k):
-        """The test points' k-nearest kernel rows, as kernel_rows builds them."""
-        if graph_k not in self.test_nbrs:
-            self.test_nbrs[graph_k] = _nearest(self.test.points, self.train.points, graph_k)
-        nbrs, d2 = self.test_nbrs[graph_k]
-        return _kernel_matrix(nbrs, d2, self.train.n, self.graphs[graph_k].eps)
 
     def embedded(self, pipeline, beta, m, graph_k):
         key = (pipeline, beta, m, graph_k)
@@ -321,9 +313,13 @@ class _Sweep:
                     if cfg.oos_full_kernel or cfg.oos_refit:
                         test_emb = pf.transform(self.test.points)
                     else:
-                        # pf.transform on the cached k-nearest kernel rows
+                        # pf.transform on the test points' kernel rows, cached per graph_k
+                        if graph_k not in self.test_kernels:
+                            self.test_kernels[graph_k] = kernel_rows(
+                                self.test.points, self.train.points, graph_k, pf.detail.eps
+                            )
                         unlabeled = np.zeros(self.test.n, dtype=np.int64)
-                        test_emb = _extend(pf.detail, self.test_kernel(graph_k), unlabeled)
+                        test_emb = _extend(pf.detail, self.test_kernels[graph_k], unlabeled)
                 else:
                     pf = fit_pipeline(pipeline, self.train, m=m)
                     test_emb = pf.transform(self.test.points)

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from hypothesis import assume, given, settings, strategies as st
 
 from ccdr.dataset import LabeledDataset, gen_circles, make_indicator
 from ccdr.embedding import (
@@ -234,6 +235,14 @@ def test_oos_validation(blob30):
         embed_oos(model, np.zeros(3), 4)
     with pytest.raises(ValueError, match="weights must have length n = 30"):
         embed_oos(model, np.zeros(3), 0, weights=np.ones(5))
+    w = np.ones(30)
+    w[[4, 9]] = np.nan
+    with pytest.raises(ValueError, match="weight 4 is nan; weights must be finite and nonnegative"):
+        embed_oos(model, np.zeros(3), 0, weights=w)
+    w = np.ones(30)
+    w[7] = -0.5
+    with pytest.raises(ValueError, match="weight 7 is -0.5; weights must be finite and nonnegative"):
+        embed_oos(model, np.zeros(3), 0, weights=w)
 
 
 def test_oos_full_kernel(blob30):
@@ -250,16 +259,53 @@ def test_embed_many_matches_single(blob30):
     rng = np.random.default_rng(52)
     X = rng.standard_normal((6, 3)) * 0.5
     cs = np.array([0, 1, 2, 3, 0, 1])
-    # embed_oos is embed_many on a one-row batch, bit for bit; a row of a
-    # larger batch may differ in the last bits, because BLAS can sum the
-    # kernel product in another order when the batch size changes
     for c, full in ((cs, False), (0, False), (0, True)):
         batch = embed_many(model, X, c, full_kernel=full)
         for i in range(6):
             ci = int(np.broadcast_to(c, 6)[i])
             single = embed_oos(model, X[i], ci, full_kernel=full)
             assert np.array_equal(single, embed_many(model, X[i : i + 1], ci, full_kernel=full)[0])
-            assert batch[i] == pytest.approx(single, rel=1e-12, abs=1e-15)
+            if full:
+                # the dense kernel goes through BLAS, which may sum in another order per batch size
+                assert batch[i] == pytest.approx(single, rel=1e-12, abs=1e-15)
+            else:
+                assert np.array_equal(batch[i], single)
+
+
+@st.composite
+def small_fit_and_batch(draw):
+    """A small labeled fit, a batch of nearby queries with labels, and a
+    permutation of the batch."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n, d, L = draw(st.integers(12, 40)), draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    q = draw(st.integers(1, 40))
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, L + 1, n)
+    labels[:L] = np.arange(1, L + 1)
+    ds = LabeledDataset(rng.standard_normal((n, d)), labels, L)
+    X = rng.standard_normal((q, d))
+    cs = rng.integers(0, L + 1, q)
+    k = draw(st.integers(3, 6))
+    return ds, k, draw(st.sampled_from([0.1, 0.8, 5.0])), X, cs, rng.permutation(q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_fit_and_batch())
+def test_embed_many_rows_do_not_depend_on_the_batch(problem):
+    ds, k, beta, X, cs, perm = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # disconnected graphs are fine here
+        try:
+            model = fit(ds, k=k, eps=None, beta=beta, m=1)
+        except (ValueError, RuntimeError):  # an eigenvalue reaching 1, a failed gate
+            assume(False)
+    for c in (cs, 0):
+        try:
+            batch = embed_many(model, X, c)
+        except ValueError:  # an unlabeled query whose kernel underflows
+            assume(False)
+        c_perm = c[perm] if np.ndim(c) else c
+        assert np.array_equal(embed_many(model, X[perm], c_perm), batch[perm])
 
 
 def test_embed_many_validation(blob30):
@@ -270,6 +316,8 @@ def test_embed_many_validation(blob30):
         embed_many(model, np.zeros((2, 3)), np.array([1, 2, 3]))
     with pytest.raises(ValueError, match=r"labels must lie in \{0, .., 3\}"):
         embed_many(model, np.zeros((2, 3)), np.array([0, 9]))
+    with pytest.raises(ValueError, match=r"labels must lie in \{0, .., 3\}"):
+        embed_many(model, np.zeros((2, 3)), np.array([1.7, 0.2]))
     with pytest.raises(ValueError, match="query 0 outside model support"):
         embed_many(model, np.full((1, 3), 1e6), 0)
 

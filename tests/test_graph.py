@@ -15,7 +15,6 @@ from ccdr.graph import (
     WeightMatrix,
     export_edges_csv,
     heat_weights,
-    kernel_row,
     kernel_rows,
     knn_graph,
     median_eps,
@@ -157,6 +156,13 @@ def test_edge_sq_distances_match_direct():
         assert v == pytest.approx(np.sum((pts[i] - pts[j]) ** 2), rel=1e-12)
 
 
+def dense_rows(nbrs, w, n):
+    """Scatter kernel_rows' (nbrs, w) into dense (q, n) rows, 0 elsewhere."""
+    out = np.zeros((nbrs.shape[0], n))
+    out[np.arange(nbrs.shape[0])[:, None], nbrs] = w
+    return out
+
+
 def test_kernel_row_agrees_with_weight_row_for_training_point():
     rng = np.random.default_rng(28)
     pts = rng.standard_normal((20, 2))
@@ -164,7 +170,8 @@ def test_kernel_row_agrees_with_weight_row_for_training_point():
     eps = median_eps(g, pts)
     W = heat_weights(g, pts, eps).matrix.toarray()
     for i in (0, 7, 19):
-        row = kernel_row(pts[i], pts, 5, eps)  # k+1 covers self plus neighbors
+        # k+1 covers self plus neighbors
+        row = dense_rows(*kernel_rows(pts[i : i + 1], pts, 5, eps), 20)[0]
         nbrs = np.nonzero(row)[0]
         for j in nbrs:
             if W[i, j] > 0:
@@ -173,7 +180,9 @@ def test_kernel_row_agrees_with_weight_row_for_training_point():
 
 def test_kernel_row_equidistant_ties_by_index():
     sq = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    row = kernel_row(np.array([0.5, 0.5]), sq, 2, 0.7)
+    nbrs, w = kernel_rows(np.array([[0.5, 0.5]]), sq, 2, 0.7)
+    assert nbrs.tolist() == [[0, 1]]
+    row = dense_rows(nbrs, w, 4)[0]
     v = math.exp(-0.5 / 0.7)
     assert row == pytest.approx([v, v, 0.0, 0.0], abs=0.0)
 
@@ -184,10 +193,12 @@ def test_kernel_row_matches_brute_force():
     for t in range(5):
         x = rng.standard_normal(3)
         k, eps = 4, 1.3
-        row = kernel_row(x, pts, k, eps)
+        nbrs, w = kernel_rows(x[None], pts, k, eps)
+        row = dense_rows(nbrs, w, 10)[0]
         d2 = [(sum((a - b) ** 2 for a, b in zip(x, p)), j) for j, p in enumerate(pts)]
         d2.sort()
         keep = {j for _, j in d2[:k]}
+        assert nbrs[0].tolist() == [j for _, j in d2[:k]]  # nearest first
         for j in range(10):
             want = math.exp(-d2list(d2, j) / eps) if j in keep else 0.0
             assert row[j] == pytest.approx(want, rel=1e-12)
@@ -203,18 +214,21 @@ def d2list(d2, j):
 def test_kernel_row_validation():
     pts = np.zeros((3, 1)) + np.arange(3)[:, None]
     with pytest.raises(ValueError, match="k must satisfy"):
-        kernel_row(np.zeros(1), pts, 3, 1.0)
+        kernel_rows(np.zeros((1, 1)), pts, 3, 1.0)
     with pytest.raises(ValueError, match="eps must be positive"):
-        kernel_row(np.zeros(1), pts, 1, 0.0)
+        kernel_rows(np.zeros((1, 1)), pts, 1, 0.0)
 
 
 def test_kernel_rows_match_single_row_calls():
     rng = np.random.default_rng(30)
     pts = rng.standard_normal((12, 2))
     Q = rng.standard_normal((5, 2))
-    batch = kernel_rows(Q, pts, 3, 0.9)
-    for i, q in enumerate(Q):
-        assert np.array_equal(batch[i], kernel_row(q, pts, 3, 0.9))
+    nbrs, w = kernel_rows(Q, pts, 3, 0.9)
+    assert nbrs.shape == w.shape == (5, 3)
+    for i in range(5):
+        one_nbrs, one_w = kernel_rows(Q[i : i + 1], pts, 3, 0.9)
+        assert np.array_equal(nbrs[i], one_nbrs[0])
+        assert np.array_equal(w[i], one_w[0])
 
 
 def test_export_edges_csv(tmp_path):
@@ -281,10 +295,9 @@ def test_graph_kernel_and_classifier_follow_the_full_sort(problem):
     for (i, j), v in zip(g.edges, g.sq_dists):
         assert v == np.sum((X[i] - X[j]) ** 2)
     qidx, qd2 = full_sort_neighbors(Q, X, k)
-    K = kernel_rows(Q, X, k, 1.7)
-    want_K = np.zeros_like(K)
-    np.put_along_axis(want_K, qidx, np.exp(-qd2 / 1.7), axis=1)
-    assert np.array_equal(K, want_K)
+    nbrs, w = kernel_rows(Q, X, k, 1.7)
+    assert np.array_equal(nbrs, qidx)
+    assert np.array_equal(w, np.exp(-qd2 / 1.7))
     labels = np.arange(n) * 10
     assert np.array_equal(sorted_neighbor_labels(X, labels, Q, k), labels[qidx])
 
@@ -306,4 +319,4 @@ def test_kernel_rows_reject_non_finite_queries(bad):
     with pytest.raises(ValueError, match="query 1 has a non-finite coordinate"):
         kernel_rows(Q, pts, 2, 1.0)
     with pytest.raises(ValueError, match="query 0 has a non-finite coordinate"):
-        kernel_row(Q[1], pts, 2, 1.0)
+        kernel_rows(Q[1:2], pts, 2, 1.0)
