@@ -7,15 +7,11 @@ with a small command line front end.
 
 from .dataset import (
     LabeledDataset,
-    ClassIndicator,
     SATIMAGE_REMAP,
     PASSTHROUGH_REMAP,
-    identity_remap,
     read_points,
     load_statlog,
     save_statlog,
-    to_csv,
-    make_indicator,
     class_counts,
     gen_circles,
     column_stats,
@@ -28,7 +24,6 @@ from .graph import (
     heat_weights,
     median_eps,
     kernel_rows,
-    export_edges_csv,
 )
 from .spectral import EigenSolution, generalized_eig, sym_eig_desc
 from .embedding import (
@@ -57,8 +52,6 @@ from .classify import (
     LinearClassifier,
     KnnClassifier,
     linear_fit,
-    error_rate,
-    accuracy,
 )
 from .harness import (
     ExperimentConfig,
@@ -75,15 +68,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LabeledDataset",
-    "ClassIndicator",
     "SATIMAGE_REMAP",
     "PASSTHROUGH_REMAP",
-    "identity_remap",
     "read_points",
     "load_statlog",
     "save_statlog",
-    "to_csv",
-    "make_indicator",
     "class_counts",
     "gen_circles",
     "column_stats",
@@ -94,7 +83,6 @@ __all__ = [
     "heat_weights",
     "median_eps",
     "kernel_rows",
-    "export_edges_csv",
     "EigenSolution",
     "generalized_eig",
     "sym_eig_desc",
@@ -119,8 +107,6 @@ __all__ = [
     "LinearClassifier",
     "KnnClassifier",
     "linear_fit",
-    "error_rate",
-    "accuracy",
     "ExperimentConfig",
     "SweepRow",
     "SweepReport",

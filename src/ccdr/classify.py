@@ -121,18 +121,3 @@ class KnnClassifier:
         nbr = sorted_neighbor_labels(self.train_Y, self.train_labels, Y, self.k)
         return vote(nbr, self.k, self.num_classes)
 
-
-def error_rate(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Fraction of mismatches between two label vectors of equal length."""
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
-    if pred.shape != truth.shape or pred.ndim != 1:
-        raise ValueError("pred and truth must be vectors of equal length")
-    if pred.size == 0:
-        raise ValueError("need at least one prediction")
-    return float(np.mean(pred != truth))
-
-
-def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
-    """1 - error_rate."""
-    return 1.0 - error_rate(pred, truth)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -23,14 +24,7 @@ from .dataset import (
     save_statlog,
 )
 from .embedding import embed_many, load_model, refit_embed, save_model
-from .harness import (
-    CLASSIFIERS,
-    PIPELINES,
-    ExperimentConfig,
-    emit_report,
-    fit_pipeline,
-    run_sweep,
-)
+from .harness import ExperimentConfig, emit_report, fit_pipeline, run_sweep
 
 DATA_DIR_ENV = "CCDR_DATA_DIR"
 
@@ -71,12 +65,10 @@ def _bool(s) -> bool:
     raise ValueError("not a boolean: %r" % s)
 
 
-def _ints(s) -> tuple:
-    return tuple(int(t) for t in str(s).split(",") if t.strip())
-
-
-def _floats(s) -> tuple:
-    return tuple(float(t) for t in str(s).split(",") if t.strip())
+def _list(elem):
+    """Comma-list converter. Blank items are dropped from number lists and
+    kept in name lists, where run_sweep rejects them."""
+    return lambda s: tuple(elem(t) for t in str(s).split(",") if elem is str or t.strip())
 
 
 def _opt_float(s):
@@ -85,13 +77,59 @@ def _opt_float(s):
     return float(s)
 
 
+def _converter(default):
+    """The converter an ExperimentConfig field's default implies."""
+    if isinstance(default, bool):
+        return _bool
+    if isinstance(default, tuple):
+        return _list(type(default[0]))
+    if default is None:
+        return _opt_float
+    return type(default)
+
+
+# ExperimentConfig fields with no option of their own name: the data source
+# (train, test, synth_*), the label table (remap) and sweep's no_wall
+_SPECIAL_FIELDS = ("train_path", "test_path", "synth", "remap", "measure_wall")
+# classify is a one-point sweep: grid field -> its singular option
+_POINT_OPTIONS = {
+    "pipelines": "pipeline", "classifiers": "classifier", "betas": "beta",
+    "ms": "m", "graph_ks": "k", "clf_ks": "clf_k",
+}
+_SWEEP_ONLY = ("oos_full_kernel", "oos_refit")
+
+
+def _experiment_schema(sweep: bool) -> dict:
+    """sweep's or classify's options, derived from ExperimentConfig."""
+    schema = {
+        "train": (None, str),
+        "test": (None, str),
+        "synth_n_per_class": (None, lambda s: None if s in (None, "") else int(s)),
+        "synth_radii": ((1.0, 2.0), _list(float)),
+        "synth_noise_sd": (0.01, float),
+        "remap": ("satimage", str),
+    }
+    for f in fields(ExperimentConfig):
+        if f.name in _SPECIAL_FIELDS or (not sweep and f.name in _SWEEP_ONLY):
+            continue
+        name, default = f.name, f.default
+        if not sweep and name in _POINT_OPTIONS:
+            # classify --beta defaults to fit's beta, not the sweep grid's
+            default = 1.0 if name == "betas" else default[0]
+            name = _POINT_OPTIONS[name]
+        schema[name] = (default, _converter(default))
+    if sweep:
+        schema["no_wall"] = (False, _bool)
+    return schema
+
+
 # verb -> option name -> (default, converter). Converters apply both to
 # config-file strings and to flag strings, so the two behave identically.
 _SCHEMAS = {
     "synth": {
         "out": (None, str),
         "n_per_class": (100, int),
-        "radii": ((1.0, 2.0), _floats),
+        "radii": ((1.0, 2.0), _list(float)),
         "noise_sd": (0.01, float),
         "seed": (0, int),
     },
@@ -121,49 +159,9 @@ _SCHEMAS = {
         "full_kernel": (False, _bool),
         "brute_force": (False, _bool),
     },
-    "classify": {
-        "train": (None, str),
-        "test": (None, str),
-        "synth_n_per_class": (None, lambda s: None if s in (None, "") else int(s)),
-        "synth_radii": ((1.0, 2.0), _floats),
-        "synth_noise_sd": (0.01, float),
-        "pipeline": ("ccdr", str),
-        "classifier": ("knn", str),
-        "beta": (1.0, float),
-        "m": (2, int),
-        "k": (4, int),
-        "clf_k": (1, int),
-        "eps": (None, _opt_float),
-        "eps_scale": (1.0, float),
-        "standardize": (False, _bool),
-        "remap": ("satimage", str),
-        "seed": (0, int),
-        "ci_level": (0.8, float),
-    },
-    "sweep": {
-        "train": (None, str),
-        "test": (None, str),
-        "synth_n_per_class": (None, lambda s: None if s in (None, "") else int(s)),
-        "synth_radii": ((1.0, 2.0), _floats),
-        "synth_noise_sd": (0.01, float),
-        "pipelines": (("ccdr",), lambda s: tuple(str(s).split(","))),
-        "classifiers": (("knn",), lambda s: tuple(str(s).split(","))),
-        "betas": ((0.5,), _floats),
-        "ms": ((2,), _ints),
-        "graph_ks": ((4,), _ints),
-        "clf_ks": ((1,), _ints),
-        "eps": (None, _opt_float),
-        "eps_scale": (1.0, float),
-        "standardize": (False, _bool),
-        "remap": ("satimage", str),
-        "seed": (0, int),
-        "ci_level": (0.8, float),
-        "oos_full_kernel": (False, _bool),
-        "oos_refit": (False, _bool),
-        "no_wall": (False, _bool),
-        "out": (None, str),
-    },
 }
+_SCHEMAS["classify"] = _experiment_schema(sweep=False)
+_SCHEMAS["sweep"] = {**_experiment_schema(sweep=True), "out": (None, str)}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -261,6 +259,10 @@ def _cmd_embed(opts) -> int:
     _require(opts, "train", "out")
     if opts["model_out"] and opts["pipeline"] != "ccdr":
         raise ValueError("--model-out only applies to the ccdr pipeline")
+    if opts["model_out"] and opts["standardize"]:
+        # the model would hold z-scored points without the column statistics,
+        # so oos would embed raw queries into the wrong coordinates
+        raise ValueError("--model-out cannot be combined with --standardize true")
     remap = _parse_remap(opts["remap"])
     train = load_statlog(_resolve(opts["train"]), remap=remap)
     if opts["standardize"]:
@@ -297,38 +299,33 @@ def _cmd_oos(opts) -> int:
     return 0
 
 
-def _data_options(opts) -> dict:
+def _experiment(opts) -> ExperimentConfig:
+    """The ExperimentConfig that sweep's or classify's options describe."""
+    kw = {"remap": _parse_remap(opts["remap"])}
+    for f in fields(ExperimentConfig):
+        if f.name in _SPECIAL_FIELDS:
+            continue
+        if f.name in opts:
+            kw[f.name] = opts[f.name]
+        elif _POINT_OPTIONS.get(f.name) in opts:
+            kw[f.name] = (opts[_POINT_OPTIONS[f.name]],)
+    if "no_wall" in opts:
+        kw["measure_wall"] = not opts["no_wall"]
     if opts["synth_n_per_class"] is not None:
-        return {
-            "synth": {
-                "n_per_class": opts["synth_n_per_class"],
-                "radii": opts["synth_radii"],
-                "noise_sd": opts["synth_noise_sd"],
-            }
+        kw["synth"] = {
+            "n_per_class": opts["synth_n_per_class"],
+            "radii": opts["synth_radii"],
+            "noise_sd": opts["synth_noise_sd"],
         }
-    _require(opts, "train", "test")
-    return {
-        "train_path": _resolve(opts["train"]),
-        "test_path": _resolve(opts["test"]),
-    }
+    else:
+        _require(opts, "train", "test")
+        kw["train_path"] = _resolve(opts["train"])
+        kw["test_path"] = _resolve(opts["test"])
+    return ExperimentConfig(**kw)
 
 
 def _cmd_classify(opts) -> int:
-    cfg = ExperimentConfig(
-        remap=_parse_remap(opts["remap"]),
-        pipelines=(opts["pipeline"],),
-        classifiers=(opts["classifier"],),
-        betas=(opts["beta"],),
-        ms=(opts["m"],),
-        graph_ks=(opts["k"],),
-        clf_ks=(opts["clf_k"],),
-        eps=opts["eps"],
-        eps_scale=opts["eps_scale"],
-        standardize=opts["standardize"],
-        seed=opts["seed"],
-        ci_level=opts["ci_level"],
-        **_data_options(opts),
-    )
+    cfg = _experiment(opts)
     row = run_sweep(cfg).rows[0]
     if row.note:
         raise ValueError("grid point failed: %s" % row.note)
@@ -344,25 +341,7 @@ def _cmd_classify(opts) -> int:
 
 def _cmd_sweep(opts) -> int:
     _require(opts, "out")
-    cfg = ExperimentConfig(
-        remap=_parse_remap(opts["remap"]),
-        pipelines=opts["pipelines"],
-        classifiers=opts["classifiers"],
-        betas=opts["betas"],
-        ms=opts["ms"],
-        graph_ks=opts["graph_ks"],
-        clf_ks=opts["clf_ks"],
-        eps=opts["eps"],
-        eps_scale=opts["eps_scale"],
-        standardize=opts["standardize"],
-        seed=opts["seed"],
-        ci_level=opts["ci_level"],
-        oos_full_kernel=opts["oos_full_kernel"],
-        oos_refit=opts["oos_refit"],
-        measure_wall=not opts["no_wall"],
-        **_data_options(opts),
-    )
-    report = run_sweep(cfg)
+    report = run_sweep(_experiment(opts))
     emit_report(report, opts["out"])
     failed = sum(1 for r in report.rows if r.note)
     msg = "wrote %d rows to %s" % (len(report.rows), opts["out"])

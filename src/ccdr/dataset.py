@@ -6,18 +6,12 @@ matrices are stored as float64 even when the source file holds integers.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 # Statlog satimage labels its six classes 1,2,3,4,5,7 (there is no 6).
 SATIMAGE_REMAP = {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 7: 6}
-
-
-def identity_remap(num_classes: int) -> dict[int, int]:
-    """Remap table that keeps labels 1..num_classes unchanged."""
-    return {k: k for k in range(1, num_classes + 1)}
 
 
 class _PassthroughRemap(dict):
@@ -87,36 +81,9 @@ class LabeledDataset:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
-class ClassIndicator:
-    """0/1 membership matrix C, shape (L, n), c_ki = 1 iff point i is in class k."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        C = np.asarray(self.matrix, dtype=np.float64)
-        if C.ndim != 2:
-            raise ValueError("indicator must be an L x n matrix")
-        if not np.all((C == 0.0) | (C == 1.0)):
-            raise ValueError("indicator entries must be 0 or 1")
-        if np.any(C.sum(axis=0) > 1.0):
-            raise ValueError("each point may belong to at most one class")
-        object.__setattr__(self, "matrix", _readonly(C))
-
-    @property
-    def counts(self) -> np.ndarray:
-        """Per-class sizes n_k, shape (L,)."""
-        return self.matrix.sum(axis=1).astype(np.int64)
-
-
 def class_counts(ds: LabeledDataset) -> np.ndarray:
     """Sizes of classes 1..L, shape (L,)."""
     return np.bincount(ds.labels, minlength=ds.num_classes + 1)[1:]
-
-
-def make_indicator(ds: LabeledDataset) -> ClassIndicator:
-    """Build the L x n class indicator for a dataset."""
-    return ClassIndicator(_indicator(ds.labels, ds.num_classes))
 
 
 def _indicator(labels: np.ndarray, L: int) -> np.ndarray:
@@ -192,7 +159,7 @@ def load_statlog(
     """Load a Statlog-format file (whitespace table, last column = label).
 
     The default remap is the satimage table {1..5 -> 1..5, 7 -> 6}; pass
-    `identity_remap(L)` for files already labeled 1..L (for example files
+    PASSTHROUGH_REMAP for files already labeled 1..L (for example files
     written by `save_statlog`). The number of classes is the largest label
     seen after remapping.
     """
@@ -217,15 +184,6 @@ def save_statlog(ds: LabeledDataset, path) -> None:
         for x, lab in zip(ds.points, ds.labels):
             fh.write(" ".join(_fmt(v) for v in x))
             fh.write(" %d\n" % lab)
-
-
-def to_csv(ds: LabeledDataset, path) -> None:
-    """Write a dataset as CSV with header f1,..,fd,label."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["f%d" % (j + 1) for j in range(ds.d)] + ["label"])
-        for x, lab in zip(ds.points, ds.labels):
-            w.writerow([_fmt(v) for v in x] + [str(lab)])
 
 
 def gen_circles(

@@ -37,7 +37,7 @@ import scipy.sparse as sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
-from .dataset import LabeledDataset, ClassIndicator, _indicator, class_counts
+from .dataset import LabeledDataset, _indicator, class_counts
 from .graph import WeightMatrix, _check_finite, _heat_graph, kernel_rows
 from .graph import knn_graph  # noqa: F401  perfbench's tracer test patches this name
 from .spectral import EigenSolution, generalized_eig
@@ -104,15 +104,13 @@ class CcdrModel:
 def build_augmented(C, W, beta: float) -> AugmentedLaplacian:
     """Assemble Dg and Lap = Dg - G for the center-augmented graph.
 
-    C may be a ClassIndicator or an (L, n) 0/1 array; W a WeightMatrix or a
-    symmetric (n, n) array. L = 0 with beta = 1 gives the plain graph
+    C is the (L, n) 0/1 class indicator; W a WeightMatrix or a symmetric
+    (n, n) array. L = 0 with beta = 1 gives the plain graph
     Laplacian D - W. G is assembled sparse; Lap comes back dense when
     p = L + n <= DENSE_MAX_ORDER and CSR otherwise. Every augmented row
     must have positive degree: an empty class or an unlabeled point with no
     weighted edge is an error.
     """
-    if isinstance(C, ClassIndicator):
-        C = C.matrix
     C = np.asarray(C, dtype=np.float64)
     if C.ndim != 2:
         raise ValueError("C must be an L x n matrix")
@@ -162,8 +160,10 @@ def fit(
     eps_scale. Requires beta >= 0, m >= 1 and m + 1 <= L + n, and every class
     must have at least one labeled point; beta = 0 additionally needs a fully
     labeled dataset so every augmented-graph row keeps positive degree.
-    Raises when a retained eigenvalue reaches 1 (then m is too large or beta
-    too small for this graph), and warns (RuntimeWarning) when some
+    Raises ValueError when a retained eigenvalue reaches 1 (then m is too
+    large or beta too small for this graph) or when the fitted model fails
+    a constraint identity beyond RESIDUAL_TOL, which a point the heat
+    kernel has all but cut off can cause; warns (RuntimeWarning) when some
     connected component of the augmented graph holds no class node.
     """
     _check_fit(ds, beta, m)
@@ -259,10 +259,15 @@ def _solve(
         class_sizes=np.bincount(labels, minlength=L + 1)[1:],
     )
     res = constraint_residuals(model, W=W, C=C)
-    worst = max(res.values())
-    if worst > RESIDUAL_TOL:
-        raise RuntimeError(
-            "fitted model violates its constraints (residual %.3g)" % worst
+    failed = max(res, key=res.get)
+    if res[failed] > RESIDUAL_TOL:
+        # name the point whose row identity is furthest off: it is usually
+        # one the heat kernel has all but cut off
+        i = int(np.argmax(_row_errors(model, W.matrix, C)))
+        raise ValueError(
+            "fitted model violates its %s identity (residual %.3g), worst at "
+            "point %d with heat-kernel degree %.3g; try a larger eps or k"
+            % (failed, res[failed], i, W.degrees()[i])
         )
     return model
 
@@ -286,8 +291,6 @@ def constraint_residuals(model: CcdrModel, W=None, C=None) -> dict[str, float]:
     """
     if C is None:
         C = _indicator(model.train_labels, model.num_classes)
-    if isinstance(C, ClassIndicator):
-        C = C.matrix
     if W is None:
         W = _heat_graph(model.train_points, model.k, model.eps)
     Wmat = W.matrix if isinstance(W, WeightMatrix) else np.asarray(W)
@@ -304,15 +307,21 @@ def constraint_residuals(model: CcdrModel, W=None, C=None) -> dict[str, float]:
     cy = C @ Y
     z_rhs = cy / (model.class_sizes.astype(float)[:, None] * (1.0 - lam)[None, :])
     res_center = float(np.abs(Z - z_rhs).max(initial=0.0))
-    num = C.T @ Z + model.beta * (Wmat @ Y)
-    den = (labeled + model.beta * w_deg)[:, None] * (1.0 - lam)[None, :]
-    res_row = float(np.abs(Y - num / den).max())
     return {
         "gram": res_gram,
         "mean": res_mean,
         "center": res_center,
-        "row": res_row,
+        "row": float(_row_errors(model, Wmat, C).max()),
     }
+
+
+def _row_errors(model: CcdrModel, Wmat, C: np.ndarray) -> np.ndarray:
+    """Each training point's max-norm residual of the row identity."""
+    w_deg = np.asarray(Wmat.sum(axis=1)).ravel()
+    labeled = np.asarray(C.sum(axis=0)).ravel()
+    num = C.T @ model.centers + model.beta * (Wmat @ model.embedding)
+    den = (labeled + model.beta * w_deg)[:, None] * (1.0 - model.eigenvalues)[None, :]
+    return np.abs(model.embedding - num / den).max(axis=1)
 
 
 def cost(Z: np.ndarray, Y: np.ndarray, C, W, beta: float) -> float:
@@ -321,8 +330,6 @@ def cost(Z: np.ndarray, Y: np.ndarray, C, W, beta: float) -> float:
     Z is (L, m), Y is (n, m). Equals tr(Zhat Lap Zhat^T) for the stacked
     arrangement, feasible or not.
     """
-    if isinstance(C, ClassIndicator):
-        C = C.matrix
     C = np.asarray(C, dtype=np.float64)
     Z = np.asarray(Z, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)

@@ -7,7 +7,6 @@ nearest neighbours of j or vice versa (union symmetrization).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,18 +203,3 @@ def kernel_rows(
     nbrs, d2 = _nearest(X, train_points, k)
     return nbrs, np.exp(-d2 / eps)
 
-
-def export_edges_csv(wm: WeightMatrix, path) -> None:
-    """Write the weighted edge list as CSV rows i,j,w with i < j (0-based)."""
-    coo = wm.matrix.tocoo()
-    rows = [
-        (int(i), int(j), float(w))
-        for i, j, w in zip(coo.row, coo.col, coo.data)
-        if i < j
-    ]
-    rows.sort()
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "w"])
-        for i, j, wt in rows:
-            w.writerow([i, j, repr(wt)])

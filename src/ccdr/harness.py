@@ -51,7 +51,8 @@ class ExperimentConfig:
     oos_full_kernel and oos_refit choose how test points reach every graph
     pipeline's embedding (ccdr and lapeig alike): the full heat kernel over
     all training points, or a refit with the point appended, in place of
-    the k-nearest kernel rows.
+    the k-nearest kernel rows. The `ccdr sweep` and `ccdr classify` options
+    are derived from these fields and their defaults (see cli.py).
     """
 
     train_path: str | None = None

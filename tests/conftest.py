@@ -65,3 +65,13 @@ def blob30():
 @pytest.fixture()
 def circles200():
     return gen_circles(100, [1.0, 2.0], 0.01, seed=7)
+
+
+@pytest.fixture()
+def nearly_cut_off():
+    """8 points in 1-D, one class. With k = 1 the median eps is 0.0041 and
+    unlabeled point 3's heat-kernel degree is 2.8e-52, so a fit at
+    beta = 0.1, m = 1 fails its row identity there."""
+    X = np.array([[1.872], [0.124], [-0.208], [-0.980], [-0.165], [-0.285], [-0.118], [0.088]])
+    return LabeledDataset(X, np.array([1, 1, 0, 0, 1, 1, 0, 1]), 1, name="nearly-cut-off")
+

@@ -5,9 +5,7 @@ import pytest
 
 from ccdr.classify import (
     KnnClassifier,
-    accuracy,
     argmax_labels,
-    error_rate,
     linear_fit,
     sorted_neighbor_labels,
     vote,
@@ -62,7 +60,7 @@ def test_linear_separates_three_clusters():
     Y = np.vstack([c + 0.3 * rng.standard_normal((20, 2)) for c in centers])
     labels = np.repeat([1, 2, 3], 20)
     clf = linear_fit(Y, labels, 3)
-    assert error_rate(clf.predict(Y), labels) == 0.0
+    assert np.array_equal(clf.predict(Y), labels)
     assert np.array_equal(clf.predict(Y), argmax_labels(Y @ clf.weights.T + clf.bias))
     assert clf.num_classes == 3
     assert clf.weights.shape == (3, 2) and clf.bias.shape == (3,)
@@ -168,25 +166,6 @@ def test_knn_validation():
         KnnClassifier(train, np.array([1, 3]), 1, 2)
     with pytest.raises(ValueError, match="k must satisfy 1 <= k <= n = 2"):
         KnnClassifier(train, np.array([1, 2]), 3, 2)
-
-
-def test_error_rate_values():
-    ones = np.ones(1000, dtype=np.int64)
-    assert error_rate(ones, ones) == 0.0
-    assert error_rate(ones, 2 * ones) == 1.0
-    pred = ones.copy()
-    pred[:86] = 2
-    assert error_rate(pred, ones) == 0.086
-    assert accuracy(pred, ones) == 1.0 - 0.086
-
-
-def test_error_rate_validation():
-    with pytest.raises(ValueError, match="equal length"):
-        error_rate(np.ones(3), np.ones(4))
-    with pytest.raises(ValueError, match="at least one prediction"):
-        error_rate(np.ones(0), np.ones(0))
-    with pytest.raises(ValueError, match="equal length"):
-        error_rate(np.ones((2, 2)), np.ones((2, 2)))
 
 
 def test_knn_predict_rejects_non_finite_queries():

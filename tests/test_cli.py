@@ -1,12 +1,34 @@
 """Command line verbs, config files, and option resolution."""
 
+import warnings
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import ccdr
-from ccdr.cli import main
-from ccdr.dataset import gen_circles, identity_remap, load_statlog, save_statlog
+import ccdr.cli
+from ccdr.cli import _SCHEMAS, main
+from ccdr.dataset import gen_circles, load_statlog, save_statlog
 from ccdr.embedding import load_model
+from ccdr.harness import ExperimentConfig, SweepReport, SweepRow
+
+# sweep's and classify's options with their defaults, as written out by hand
+# before the two tables were derived from ExperimentConfig
+_COMMON_OPTIONS = {
+    "train": None, "test": None, "synth_n_per_class": None,
+    "synth_radii": (1.0, 2.0), "synth_noise_sd": 0.01, "eps": None,
+    "eps_scale": 1.0, "standardize": False, "remap": "satimage", "seed": 0,
+    "ci_level": 0.8,
+}
+SWEEP_OPTIONS = dict(
+    _COMMON_OPTIONS, pipelines=("ccdr",), classifiers=("knn",), betas=(0.5,),
+    ms=(2,), graph_ks=(4,), clf_ks=(1,), oos_full_kernel=False,
+    oos_refit=False, no_wall=False, out=None,
+)
+CLASSIFY_OPTIONS = dict(
+    _COMMON_OPTIONS, pipeline="ccdr", classifier="knn", beta=1.0, m=2, k=4, clf_k=1,
+)
 
 
 @pytest.fixture()
@@ -33,7 +55,7 @@ def test_synth_writes_deterministic_file(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
     out = capsys.readouterr().out
     assert "wrote 10 points (2 classes, d=2)" in out
-    ds = load_statlog(p1, remap=identity_remap(2))
+    ds = load_statlog(p1, remap={1: 1, 2: 2})
     assert ds.n == 10 and ds.num_classes == 2
 
 
@@ -76,6 +98,35 @@ def test_embed_model_out_requires_ccdr(split_files, tmp_path, capsys):
     assert "error: --model-out only applies to the ccdr pipeline" in capsys.readouterr().err
     # the option is checked before anything is fitted or written
     assert not (tmp_path / "e.csv").exists()
+
+
+def test_embed_model_out_rejects_standardize(split_files, tmp_path, capsys):
+    trn, _ = split_files
+    rc = main([
+        "embed", "--train", trn, "--remap", "identity", "--standardize", "true",
+        "--out", str(tmp_path / "e.csv"), "--model-out", str(tmp_path / "m.npz"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: --model-out cannot be combined with --standardize true" in err
+    # the model would hold z-scored points that oos cannot map queries onto,
+    # so nothing is fitted or written
+    assert not (tmp_path / "e.csv").exists() and not (tmp_path / "m.npz").exists()
+
+
+def test_embed_reports_a_failed_residual_gate(nearly_cut_off, tmp_path, capsys):
+    trn = tmp_path / "cut.trn"
+    save_statlog(nearly_cut_off, trn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the graph is disconnected
+        rc = main([
+            "embed", "--train", str(trn), "--remap", "identity", "--k", "1",
+            "--beta", "0.1", "--m", "1", "--out", str(tmp_path / "e.csv"),
+        ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fitted model violates its row identity")
+    assert "worst at point 3" in err and not (tmp_path / "e.csv").exists()
 
 
 def test_oos_extension_and_brute_force(split_files, tmp_path):
@@ -146,6 +197,80 @@ def test_sweep_writes_report(split_files, tmp_path, capsys):
         "--out", str(out2),
     ])
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_sweep_and_classify_options_keep_their_names_and_defaults():
+    for verb, want in (("sweep", SWEEP_OPTIONS), ("classify", CLASSIFY_OPTIONS)):
+        got = {name: default for name, (default, _) in _SCHEMAS[verb].items()}
+        assert got == want
+        assert [type(got[n]) for n in want] == [type(v) for v in want.values()]
+    # the one intended difference: classify --beta keeps fit's default
+    assert ExperimentConfig().betas == (0.5,)
+
+
+def _config_passed(monkeypatch, argv):
+    """The ExperimentConfig main(argv) hands to run_sweep."""
+    seen = []
+
+    def fake_run_sweep(cfg):
+        seen.append(cfg)
+        return SweepReport(cfg, (SweepRow("raw", "knn", 0.0, 2, 0, 1, 0.5, 0.4, 0.6, 0.0),))
+
+    monkeypatch.setattr(ccdr.cli, "run_sweep", fake_run_sweep)
+    monkeypatch.delenv("CCDR_DATA_DIR", raising=False)
+    assert main(argv) == 0
+    return seen[0]
+
+
+def test_every_config_field_can_be_set_from_sweep(monkeypatch, tmp_path):
+    argv = [
+        "sweep", "--out", str(tmp_path / "s.csv"), "--remap", "1:1,9:2",
+        "--pipelines", "raw,pca", "--classifiers", "linear", "--betas", "0.1,0.2",
+        "--ms", "3,4", "--graph-ks", "5,6", "--clf-ks", "3", "--eps", "0.7",
+        "--eps-scale", "2", "--standardize", "true", "--seed", "9",
+        "--ci-level", "0.9", "--oos-full-kernel", "true", "--oos-refit", "true",
+        "--no-wall", "true",
+    ]
+    files = _config_passed(monkeypatch, argv + ["--train", "a.trn", "--test", "b.tst"])
+    synth = _config_passed(monkeypatch, argv + [
+        "--synth-n-per-class", "6", "--synth-radii", "1,3", "--synth-noise-sd", "0.2",
+    ])
+    got = {f.name: getattr(files, f.name) for f in fields(ExperimentConfig)}
+    got["synth"] = synth.synth
+    assert got == {
+        "train_path": "a.trn", "test_path": "b.tst",
+        "synth": {"n_per_class": 6, "radii": (1.0, 3.0), "noise_sd": 0.2},
+        "remap": {1: 1, 9: 2}, "pipelines": ("raw", "pca"), "classifiers": ("linear",),
+        "betas": (0.1, 0.2), "ms": (3, 4), "graph_ks": (5, 6), "clf_ks": (3,),
+        "eps": 0.7, "eps_scale": 2.0, "standardize": True, "seed": 9,
+        "ci_level": 0.9, "oos_full_kernel": True, "oos_refit": True,
+        "measure_wall": False,
+    }
+    default = ExperimentConfig()
+    assert all(v != getattr(default, name) for name, v in got.items())
+
+
+def test_classify_is_a_one_point_sweep(monkeypatch, capsys):
+    cfg = _config_passed(monkeypatch, [
+        "classify", "--train", "a.trn", "--test", "b.tst", "--pipeline", "pca",
+        "--classifier", "linear", "--m", "3", "--k", "6", "--clf-k", "5",
+    ])
+    assert (cfg.pipelines, cfg.classifiers, cfg.betas, cfg.ms, cfg.graph_ks, cfg.clf_ks) == (
+        ("pca",), ("linear",), (1.0,), (3,), (6,), (5,))
+    assert cfg.measure_wall and not cfg.oos_full_kernel and not cfg.oos_refit
+    assert "error=0.5 ci80=[0.4,0.6]" in capsys.readouterr().out
+
+
+def test_sweep_config_file_matches_flags(split_files, tmp_path):
+    trn, tst = split_files
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("betas = 0.05,0.5\nno-wall = true\n")
+    base = ["sweep", "--train", trn, "--test", tst, "--remap", "identity", "--pipelines", "ccdr,raw"]
+    from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+    assert main(base + ["--config", str(cfg), "--out", str(from_file)]) == 0
+    assert main(base + ["--betas", "0.05,0.5", "--no-wall", "true", "--out", str(from_flags)]) == 0
+    assert len(from_file.read_text().splitlines()) == 4
+    assert from_file.read_bytes() == from_flags.read_bytes()
 
 
 def test_sweep_counts_failed_grid_points(split_files, tmp_path, capsys):

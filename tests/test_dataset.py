@@ -4,27 +4,24 @@ import numpy as np
 import pytest
 
 from ccdr.dataset import (
+    _indicator,
     PASSTHROUGH_REMAP,
     SATIMAGE_REMAP,
-    ClassIndicator,
     LabeledDataset,
     apply_standardize,
     class_counts,
     column_stats,
     gen_circles,
-    identity_remap,
     load_statlog,
-    make_indicator,
     read_points,
     save_statlog,
-    to_csv,
 )
 
 
 def test_parse_two_line_file(tmp_path):
     p = tmp_path / "two.txt"
     p.write_text("0 1 1\n2 3 2\n")
-    ds = load_statlog(p, identity_remap(2))
+    ds = load_statlog(p, {1: 1, 2: 2})
     assert np.array_equal(ds.points, [[0.0, 1.0], [2.0, 3.0]])
     assert np.array_equal(ds.labels, [1, 2])
     assert ds.num_classes == 2
@@ -34,7 +31,7 @@ def test_parse_two_line_file(tmp_path):
 def test_parse_handles_multiple_spaces(tmp_path):
     p = tmp_path / "sp.txt"
     p.write_text("1   2  1\n 3 4   2 \n")
-    ds = load_statlog(p, identity_remap(2))
+    ds = load_statlog(p, {1: 1, 2: 2})
     assert np.array_equal(ds.points, [[1.0, 2.0], [3.0, 4.0]])
 
 
@@ -42,35 +39,35 @@ def test_ragged_row_error_names_line(tmp_path):
     p = tmp_path / "ragged.txt"
     p.write_text("1 2 1\n3 4\n")
     with pytest.raises(ValueError, match="line 2"):
-        load_statlog(p, identity_remap(2))
+        load_statlog(p, {1: 1, 2: 2})
 
 
 def test_non_numeric_feature_error(tmp_path):
     p = tmp_path / "alpha.txt"
     p.write_text("1 x 1\n1 2 1\n")
     with pytest.raises(ValueError, match="line 1: non-numeric feature"):
-        load_statlog(p, identity_remap(2))
+        load_statlog(p, {1: 1, 2: 2})
 
 
 def test_non_integer_label_error(tmp_path):
     p = tmp_path / "f.txt"
     p.write_text("1 2 1.5\n1 2 1\n")
     with pytest.raises(ValueError, match="label must be an integer"):
-        load_statlog(p, identity_remap(2))
+        load_statlog(p, {1: 1, 2: 2})
 
 
 def test_label_outside_remap_error(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("1 2 9\n3 4 1\n")
     with pytest.raises(ValueError, match="label 9 not in remap"):
-        load_statlog(p, identity_remap(2))
+        load_statlog(p, {1: 1, 2: 2})
 
 
 def test_empty_file_error(tmp_path):
     p = tmp_path / "empty.txt"
     p.write_text("")
     with pytest.raises(ValueError, match="no data rows"):
-        load_statlog(p, identity_remap(2))
+        load_statlog(p, {1: 1, 2: 2})
 
 
 def test_satimage_remap_closes_label_gap(tmp_path):
@@ -94,7 +91,7 @@ def test_remap_preserves_class_counts(tmp_path):
 def test_unlabeled_rows_pass_through(tmp_path):
     p = tmp_path / "u.txt"
     p.write_text("1 2 0\n3 4 1\n")
-    ds = load_statlog(p, identity_remap(1))
+    ds = load_statlog(p, {1: 1})
     assert np.array_equal(ds.labels, [0, 1])
 
 
@@ -114,7 +111,7 @@ def test_integer_round_trip_is_bit_identical(tmp_path):
     )
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
     save_statlog(ds, p1)
-    ds2 = load_statlog(p1, identity_remap(3))
+    ds2 = load_statlog(p1, {1: 1, 2: 2, 3: 3})
     save_statlog(ds2, p2)
     assert np.array_equal(ds.points, ds2.points)
     assert np.array_equal(ds.labels, ds2.labels)
@@ -126,36 +123,27 @@ def test_float_round_trip_is_exact(tmp_path):
     ds = LabeledDataset(rng.standard_normal((5, 3)), np.array([1, 2, 1, 2, 1]), 2)
     p = tmp_path / "f.txt"
     save_statlog(ds, p)
-    ds2 = load_statlog(p, identity_remap(2))
+    ds2 = load_statlog(p, {1: 1, 2: 2})
     assert np.array_equal(ds.points, ds2.points)
-
-
-def test_to_csv_header(tmp_path):
-    ds = LabeledDataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1, 2]), 2)
-    p = tmp_path / "d.csv"
-    to_csv(ds, p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "f1,f2,label"
-    assert len(lines) == 3
 
 
 def test_read_points_returns_features_and_labels(tmp_path):
     p = tmp_path / "q.txt"
     p.write_text("1 2 0\n3 4 2\n")
-    pts, labs = read_points(p, identity_remap(2))
+    pts, labs = read_points(p, {1: 1, 2: 2})
     assert np.array_equal(pts, [[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(labs, [0, 2])
 
 
 def test_make_indicator_definition():
     ds = LabeledDataset(np.zeros((3, 1)) + np.arange(3)[:, None], [1, 0, 2], 2)
-    C = make_indicator(ds)
-    assert np.array_equal(C.matrix, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    C = _indicator(ds.labels, ds.num_classes)
+    assert np.array_equal(C, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 def test_indicator_unlabeled_columns_are_zero():
     ds = LabeledDataset(np.arange(8, dtype=float).reshape(4, 2), [0, 1, 0, 2], 2)
-    C = make_indicator(ds).matrix
+    C = _indicator(ds.labels, ds.num_classes)
     assert np.all(C[:, 0] == 0.0) and np.all(C[:, 2] == 0.0)
     assert C.sum(axis=0).tolist() == [0.0, 1.0, 0.0, 1.0]
 
@@ -165,15 +153,8 @@ def test_indicator_row_sums_are_class_counts():
     labels = rng.integers(0, 4, 40)
     labels[:3] = [1, 2, 3]
     ds = LabeledDataset(rng.standard_normal((40, 2)), labels, 3)
-    C = make_indicator(ds)
-    assert np.array_equal(C.counts, class_counts(ds))
-
-
-def test_indicator_rejects_non_binary_entries():
-    with pytest.raises(ValueError, match="0 or 1"):
-        ClassIndicator(np.array([[0.5, 0.0]]))
-    with pytest.raises(ValueError, match="at most one class"):
-        ClassIndicator(np.array([[1.0, 0.0], [1.0, 0.0]]))
+    C = _indicator(ds.labels, ds.num_classes)
+    assert np.array_equal(C.sum(axis=1), class_counts(ds))
 
 
 def test_dataset_rejects_all_unlabeled():

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sparse
 from hypothesis import assume, given, settings, strategies as st
 
-from ccdr.dataset import LabeledDataset, gen_circles, make_indicator
+from ccdr.dataset import LabeledDataset, _indicator, gen_circles
 from ccdr.embedding import (
     DENSE_MAX_ORDER,
     MODEL_FORMAT_VERSION,
@@ -138,7 +138,7 @@ def test_cost_equals_laplacian_trace(blob30):
     model = fit(blob30, k=5, eps=None, beta=0.8, m=2)
     g = knn_graph(blob30.points, 5)
     W = heat_weights(g, blob30.points, model.eps)
-    C = make_indicator(blob30)
+    C = _indicator(blob30.labels, blob30.num_classes)
     aug = build_augmented(C, W, 0.8)
     # at the fit: cost = tr(Zhat Lap Zhat^T) = sum of retained eigenvalues
     got = cost(model.centers, model.embedding, C, W, 0.8)
@@ -156,7 +156,7 @@ def test_fit_minimizes_over_feasible_competitors(blob30):
     model = fit(blob30, k=5, eps=None, beta=0.8, m=2)
     g = knn_graph(blob30.points, 5)
     W = heat_weights(g, blob30.points, model.eps)
-    C = make_indicator(blob30)
+    C = _indicator(blob30.labels, blob30.num_classes)
     aug = build_augmented(C, W, 0.8)
     deg = aug.deg
     cost_fit = cost(model.centers, model.embedding, C, W, 0.8)
@@ -297,7 +297,7 @@ def test_embed_many_rows_do_not_depend_on_the_batch(problem):
         warnings.simplefilter("ignore", RuntimeWarning)  # disconnected graphs are fine here
         try:
             model = fit(ds, k=k, eps=None, beta=beta, m=1)
-        except (ValueError, RuntimeError):  # an eigenvalue reaching 1, a failed gate
+        except ValueError:  # an eigenvalue reaching 1, a failed residual gate
             assume(False)
     for c in (cs, 0):
         try:
@@ -306,6 +306,16 @@ def test_embed_many_rows_do_not_depend_on_the_batch(problem):
             assume(False)
         c_perm = c[perm] if np.ndim(c) else c
         assert np.array_equal(embed_many(model, X[perm], c_perm), batch[perm])
+
+
+def test_failed_residual_gate_is_a_fit_error(nearly_cut_off):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the graph is disconnected
+        with pytest.raises(ValueError, match=(
+            r"fitted model violates its row identity \(residual [^)]+\), worst at "
+            r"point 3 with heat-kernel degree 2\.79e-52; try a larger eps or k"
+        )):
+            fit(nearly_cut_off, k=1, beta=0.1, m=1)
 
 
 def test_embed_many_validation(blob30):
@@ -428,12 +438,12 @@ def test_build_augmented_goes_sparse_above_the_cutoff():
         ds = gaussian_classes(n)
         g = knn_graph(ds.points, 4)
         W = heat_weights(g, ds.points, median_eps(g, ds.points))
-        C = make_indicator(ds)
+        C = _indicator(ds.labels, ds.num_classes)
         aug = build_augmented(C, W, 0.7)
         assert sparse.issparse(aug.lap) == want_sparse
         G = np.zeros((n + 3, n + 3))
-        G[:3, 3:] = C.matrix
-        G[3:, :3] = C.matrix.T
+        G[:3, 3:] = C
+        G[3:, :3] = C.T
         G[3:, 3:] = 0.7 * W.matrix.toarray()
         lap = aug.lap.toarray() if want_sparse else aug.lap
         assert np.array_equal(lap, np.diag(aug.deg) - G)

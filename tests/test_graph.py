@@ -13,7 +13,6 @@ from ccdr.classify import sorted_neighbor_labels
 from ccdr.graph import (
     NeighborGraph,
     WeightMatrix,
-    export_edges_csv,
     heat_weights,
     kernel_rows,
     knn_graph,
@@ -229,18 +228,6 @@ def test_kernel_rows_match_single_row_calls():
         one_nbrs, one_w = kernel_rows(Q[i : i + 1], pts, 3, 0.9)
         assert np.array_equal(nbrs[i], one_nbrs[0])
         assert np.array_equal(w[i], one_w[0])
-
-
-def test_export_edges_csv(tmp_path):
-    pts = np.array([[0.0], [1.0], [3.0]])
-    g = knn_graph(pts, 1)
-    wm = heat_weights(g, pts, 2.5)
-    p = tmp_path / "edges.csv"
-    export_edges_csv(wm, p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "i,j,w"
-    assert lines[1].startswith("0,1,") and lines[2].startswith("1,2,")
-    assert float(lines[1].split(",")[2]) == math.exp(-1.0 / 2.5)
 
 
 def full_sort_neighbors(Q, X, k, skip_self=False):

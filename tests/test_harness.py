@@ -1,6 +1,7 @@
 """Experiment harness: splits, pipelines, sweeps, and CSV reports."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from ccdr.classify import KnnClassifier, linear_fit
 from ccdr.dataset import (
     LabeledDataset,
     gen_circles,
-    identity_remap,
     save_statlog,
 )
 from ccdr.baselines import laplacian_eigenmap
@@ -84,7 +84,7 @@ def test_load_split_synthetic_determinism():
 
 def test_load_split_standardize_uses_train_stats_only(circle_files):
     trn, tst = circle_files
-    cfg = ExperimentConfig(train_path=trn, test_path=tst, remap=identity_remap(2), standardize=True)
+    cfg = ExperimentConfig(train_path=trn, test_path=tst, remap={1: 1, 2: 2}, standardize=True)
     train, test = load_split(cfg)
     assert np.abs(train.points.mean(axis=0)).max() < 1e-12
     assert np.abs(train.points.std(axis=0) - 1.0).max() < 1e-12
@@ -181,7 +181,7 @@ def test_lapeig_eigenvalue_reaching_one_names_only_m():
 def test_run_sweep_rows_and_collapsed_axes(circle_files):
     trn, tst = circle_files
     cfg = ExperimentConfig(
-        train_path=trn, test_path=tst, remap=identity_remap(2),
+        train_path=trn, test_path=tst, remap={1: 1, 2: 2},
         pipelines=("ccdr", "raw"), classifiers=("knn", "linear"),
         betas=(0.05, 0.5), ms=(2,), graph_ks=(4,), clf_ks=(1, 3),
         measure_wall=False,
@@ -205,7 +205,7 @@ def test_run_sweep_rows_and_collapsed_axes(circle_files):
 def test_run_sweep_byte_identical_without_wall(circle_files, tmp_path):
     trn, tst = circle_files
     cfg = ExperimentConfig(
-        train_path=trn, test_path=tst, remap=identity_remap(2),
+        train_path=trn, test_path=tst, remap={1: 1, 2: 2},
         pipelines=("ccdr", "raw"), classifiers=("knn", "linear"),
         betas=(0.05, 0.5), ms=(2,), graph_ks=(4,), clf_ks=(1, 3),
         measure_wall=False,
@@ -221,7 +221,7 @@ def test_run_sweep_byte_identical_without_wall(circle_files, tmp_path):
 def test_run_sweep_error_rows_keep_note_and_continue(circle_files):
     trn, tst = circle_files
     cfg = ExperimentConfig(
-        train_path=trn, test_path=tst, remap=identity_remap(2),
+        train_path=trn, test_path=tst, remap={1: 1, 2: 2},
         pipelines=("ccdr",), classifiers=("knn",), betas=(0.5,), ms=(2,),
         graph_ks=(4, 500), clf_ks=(1,), measure_wall=False,
     )
@@ -234,10 +234,26 @@ def test_run_sweep_error_rows_keep_note_and_continue(circle_files):
     assert "k must satisfy" in bad.note
 
 
+def test_run_sweep_turns_a_failed_residual_gate_into_a_row(nearly_cut_off, tmp_path):
+    trn, tst = tmp_path / "cut.trn", tmp_path / "cut.tst"
+    save_statlog(nearly_cut_off, trn)
+    save_statlog(LabeledDataset(np.array([[-0.2], [0.1], [0.3]]), np.ones(3), 1), tst)
+    cfg = ExperimentConfig(
+        train_path=str(trn), test_path=str(tst), remap={1: 1}, betas=(0.1,),
+        ms=(1,), graph_ks=(1, 2), measure_wall=False,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the k = 1 graph is disconnected
+        bad, ok = run_sweep(cfg).rows
+    assert bad.graph_k == 1 and math.isnan(bad.error)
+    assert "violates its row identity" in bad.note and "worst at point 3" in bad.note
+    assert ok.graph_k == 2 and ok.note == "" and np.isfinite(ok.error)
+
+
 def test_run_sweep_rows_are_independent(circle_files):
     trn, tst = circle_files
     base = dict(
-        train_path=trn, test_path=tst, remap=identity_remap(2),
+        train_path=trn, test_path=tst, remap={1: 1, 2: 2},
         pipelines=("ccdr", "raw"), classifiers=("knn", "linear"),
         ms=(2,), graph_ks=(4,), clf_ks=(1, 3), measure_wall=False,
     )
@@ -253,7 +269,7 @@ def test_run_sweep_rows_are_independent(circle_files):
 
 def _graph_grid(trn, tst, graph_ks):
     return ExperimentConfig(
-        train_path=trn, test_path=tst, remap=identity_remap(2),
+        train_path=trn, test_path=tst, remap={1: 1, 2: 2},
         pipelines=("ccdr", "lapeig"), classifiers=("knn", "linear"),
         betas=(0.05, 0.5), ms=(1, 2), graph_ks=graph_ks, clf_ks=(1, 3),
         measure_wall=False,
@@ -348,7 +364,7 @@ def test_run_sweep_never_reads_test_statistics(circle_files, tmp_path):
     big = gen_circles(10, [1.0, 2.0], 0.02, seed=2)
     tst2 = tmp_path / "big.tst"
     save_statlog(LabeledDataset(big.points * 100.0, big.labels, 2), tst2)
-    kw = dict(remap=identity_remap(2), pipelines=("ccdr",), classifiers=("linear",),
+    kw = dict(remap={1: 1, 2: 2}, pipelines=("ccdr",), classifiers=("linear",),
               betas=(0.5,), ms=(2,), graph_ks=(4,), clf_ks=(1,),
               standardize=True, measure_wall=False)
     trA, _ = load_split(ExperimentConfig(train_path=trn, test_path=tst, **kw))
@@ -363,7 +379,7 @@ def test_run_sweep_never_reads_test_statistics(circle_files, tmp_path):
 def test_run_sweep_with_refit_extension(circle_files):
     trn, tst = circle_files
     cfg = ExperimentConfig(
-        train_path=trn, test_path=tst, remap=identity_remap(2),
+        train_path=trn, test_path=tst, remap={1: 1, 2: 2},
         pipelines=("ccdr",), classifiers=("knn",), betas=(0.5,), ms=(2,),
         graph_ks=(4,), clf_ks=(1,), oos_refit=True, measure_wall=False,
     )
@@ -374,7 +390,7 @@ def test_run_sweep_with_refit_extension(circle_files):
 
 def test_run_sweep_validation(circle_files):
     trn, tst = circle_files
-    base = dict(train_path=trn, test_path=tst, remap=identity_remap(2))
+    base = dict(train_path=trn, test_path=tst, remap={1: 1, 2: 2})
     with pytest.raises(ValueError, match="unknown pipeline 'mds'"):
         run_sweep(ExperimentConfig(pipelines=("mds",), **base))
     with pytest.raises(ValueError, match="unknown classifier 'svm'"):
@@ -390,18 +406,18 @@ def test_run_sweep_rejects_bad_test_sets(circle_files, tmp_path):
     save_statlog(LabeledDataset(pts, np.array([0, 2, 1, 1]), 2), t0)
     with pytest.raises(ValueError, match="test set must be fully labeled"):
         run_sweep(ExperimentConfig(train_path=trn, test_path=str(t0),
-                                   remap=identity_remap(2), pipelines=("raw",)))
+                                   remap={1: 1, 2: 2}, pipelines=("raw",)))
     t3 = tmp_path / "unseen.tst"
     save_statlog(LabeledDataset(pts, np.array([1, 2, 3, 3]), 3), t3)
     with pytest.raises(ValueError, match="test set has labels unseen in training"):
         run_sweep(ExperimentConfig(train_path=trn, test_path=str(t3),
-                                   remap=identity_remap(3), pipelines=("raw",)))
+                                   remap={1: 1, 2: 2, 3: 3}, pipelines=("raw",)))
 
 
 def test_wall_clock_measurement(circle_files):
     trn, tst = circle_files
     base = dict(
-        train_path=trn, test_path=tst, remap=identity_remap(2),
+        train_path=trn, test_path=tst, remap={1: 1, 2: 2},
         pipelines=("ccdr",), classifiers=("knn",), betas=(0.5,), ms=(2,),
         graph_ks=(4,), clf_ks=(1,),
     )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from ccdr.dataset import LabeledDataset, make_indicator
+from ccdr.dataset import _indicator
 from ccdr.embedding import build_augmented
 from ccdr.graph import heat_weights, knn_graph, median_eps
 from ccdr.spectral import GAP_TOL, generalized_eig, sym_eig_desc
@@ -208,7 +208,7 @@ def augmented_600(kind):
     labels[:L] = np.arange(1, L + 1)
     g = knn_graph(X, 5)
     W = heat_weights(g, X, median_eps(g, X))
-    aug = build_augmented(make_indicator(LabeledDataset(X, labels, L)), W, 0.5)
+    aug = build_augmented(_indicator(labels, L), W, 0.5)
     assert sparse.issparse(aug.lap) and aug.lap.shape == (600, 600)
     return aug
 
