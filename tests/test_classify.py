@@ -1,8 +1,11 @@
 """Least-squares and k-nearest-neighbour classifiers on embedded points."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from ccdr import graph
 from ccdr.classify import (
     KnnClassifier,
     argmax_labels,
@@ -172,3 +175,24 @@ def test_knn_predict_rejects_non_finite_queries():
     clf = KnnClassifier(np.arange(8.0).reshape(4, 2), np.array([1, 1, 2, 2]), 3, 2)
     with pytest.raises(ValueError, match="query 2 has a non-finite coordinate"):
         clf.predict(np.array([[0.0, 0.0], [1.0, 1.0], [np.nan, 0.0]]))
+
+
+# graph._SCREEN_MIN_PAIRS values: every call screened, then every call exact
+ROUTES = (0, 1 << 62)
+MISMATCH = "queries have 3 coordinates but the training points have 2"
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_sorted_neighbor_labels_reject_a_query_dimension_mismatch(route):
+    train, labels = np.arange(8.0).reshape(4, 2), np.array([1, 1, 2, 2])
+    with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+        with pytest.raises(ValueError, match=MISMATCH):
+            sorted_neighbor_labels(train, labels, np.zeros((5, 3)), 2)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_knn_predict_rejects_a_query_dimension_mismatch(route):
+    clf = KnnClassifier(np.arange(8.0).reshape(4, 2), np.array([1, 1, 2, 2]), 3, 2)
+    with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+        with pytest.raises(ValueError, match=MISMATCH):
+            clf.predict(np.zeros((5, 3)))

@@ -1,17 +1,22 @@
 """Constrained embedding: augmented graph, fit, extension, persistence."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 from hypothesis import assume, given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
+from ccdr import graph
 from ccdr.dataset import LabeledDataset, _indicator, gen_circles
 from ccdr.embedding import (
     DENSE_MAX_ORDER,
+    CcdrModel,
     MODEL_FORMAT_VERSION,
     build_augmented,
     constraint_residuals,
@@ -520,3 +525,75 @@ def test_embed_rejects_non_finite_queries(blob30, bad):
             embed_many(model, X, full_kernel=full)
         with pytest.raises(ValueError, match="query 0 has a non-finite coordinate"):
             embed_oos(model, X[2], full_kernel=full)
+
+
+# graph._SCREEN_MIN_PAIRS values: every neighbour search screened, then exact
+ROUTES = (0, 1 << 62)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_fit_is_scale_covariant(route):
+    # X -> 2X multiplies every squared distance and the median eps by 4
+    # exactly, so every heat weight, and with it the whole model, keeps its bits
+    ds = gaussian_classes(400, d=6)
+    Q = np.random.default_rng(3).standard_normal((50, 6))
+    with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+        a = fit(ds, k=5, beta=0.5, m=3)
+        b = fit(LabeledDataset(2.0 * ds.points, ds.labels, ds.num_classes),
+                k=5, beta=0.5, m=3)
+        assert np.array_equal(embed_many(a, Q), embed_many(b, 2.0 * Q))
+    assert b.eps == 4.0 * a.eps
+    assert np.array_equal(b.train_points, 2.0 * a.train_points)
+    for f in dataclasses.fields(CcdrModel):
+        if f.name not in ("eps", "train_points"):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+def _tie_free_draw(seed, n=120, d=3, k=5, L=3):
+    """A labeled Gaussian draw whose kNN sets no rounding can change: in
+    every row the k-th and (k+1)-th neighbour distances differ by at least
+    1e-9 relative."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    labels = rng.integers(1, L + 1, n)
+    labels[:L] = np.arange(1, L + 1)
+    d2 = np.sort(cdist(X, X, "sqeuclidean"), axis=1)  # column 0 is the point itself
+    assume(np.all(d2[:, k + 1] - d2[:, k] > 1e-9 * d2[:, k + 1]))
+    return rng, LabeledDataset(X, labels, L)
+
+
+def _equal_up_to_column_sign(A, B, tol):
+    signs = np.where(np.sum(A * B, axis=0) < 0, -1.0, 1.0)
+    return np.max(np.abs(A - B * signs), initial=0.0) <= tol
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_fit_is_invariant_to_rigid_motion(seed):
+    rng, ds = _tie_free_draw(seed)
+    R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    moved = LabeledDataset(ds.points @ R.T + rng.normal(0.0, 3.0, 3), ds.labels, 3)
+    for route in ROUTES:
+        with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+            assert knn_graph(moved.points, 5).edge_set() == knn_graph(ds.points, 5).edge_set()
+            a = fit(ds, k=5, beta=0.5, m=2)
+            b = fit(moved, k=5, beta=0.5, m=2)
+        assert _equal_up_to_column_sign(np.vstack([a.centers, a.embedding]),
+                                        np.vstack([b.centers, b.embedding]), 1e-8)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_fit_is_equivariant_to_row_permutation(seed):
+    rng, ds = _tie_free_draw(seed)
+    perm = rng.permutation(ds.n)
+    shuffled = LabeledDataset(ds.points[perm], ds.labels[perm], 3)
+    for route in ROUTES:
+        with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+            want = {tuple(sorted((int(perm[i]), int(perm[j]))))
+                    for i, j in knn_graph(shuffled.points, 5).edges}
+            assert knn_graph(ds.points, 5).edge_set() == want
+            a = fit(ds, k=5, beta=0.5, m=2)
+            b = fit(shuffled, k=5, beta=0.5, m=2)
+        assert _equal_up_to_column_sign(np.vstack([a.centers, a.embedding[perm]]),
+                                        np.vstack([b.centers, b.embedding]), 1e-8)

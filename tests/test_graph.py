@@ -1,12 +1,14 @@
 """Neighbor graph, heat-kernel weights, and out-of-sample kernel rows."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
 from ccdr import graph
 from ccdr.classify import sorted_neighbor_labels
@@ -253,6 +255,8 @@ def grid_problem(draw):
 
 # one query row per block, then the default block size
 BLOCK_SIZES = (1, graph._BLOCK_ENTRIES)
+# _SCREEN_MIN_PAIRS values: every call screened, then every call exact
+ROUTES = (0, 1 << 62)
 
 
 @settings(max_examples=150, deadline=None)
@@ -260,12 +264,14 @@ BLOCK_SIZES = (1, graph._BLOCK_ENTRIES)
 def test_nearest_equals_full_stable_argsort(problem):
     X, Q, k = problem
     for block in BLOCK_SIZES:
-        with mock.patch.object(graph, "_BLOCK_ENTRIES", block):
-            for skip_self, queries in ((False, Q), (True, X)):
-                idx, d2 = graph._nearest(queries, X, k, skip_self=skip_self)
-                want_idx, want_d2 = full_sort_neighbors(queries, X, k, skip_self)
-                assert np.array_equal(idx, want_idx)
-                assert np.array_equal(d2, want_d2)
+        for route in ROUTES:
+            with mock.patch.object(graph, "_BLOCK_ENTRIES", block), \
+                    mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+                for skip_self, queries in ((False, Q), (True, X)):
+                    idx, d2 = graph._nearest(queries, X, k, skip_self=skip_self)
+                    want_idx, want_d2 = full_sort_neighbors(queries, X, k, skip_self)
+                    assert np.array_equal(idx, want_idx)
+                    assert np.array_equal(d2, want_d2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -277,16 +283,155 @@ def test_graph_kernel_and_classifier_follow_the_full_sort(problem):
     rows = np.repeat(np.arange(n), k)
     want_edges = set(zip(np.minimum(rows, idx.ravel()).tolist(),
                          np.maximum(rows, idx.ravel()).tolist()))
-    g = knn_graph(X, k)
-    assert g.edge_set() == want_edges
-    for (i, j), v in zip(g.edges, g.sq_dists):
-        assert v == np.sum((X[i] - X[j]) ** 2)
     qidx, qd2 = full_sort_neighbors(Q, X, k)
-    nbrs, w = kernel_rows(Q, X, k, 1.7)
-    assert np.array_equal(nbrs, qidx)
-    assert np.array_equal(w, np.exp(-qd2 / 1.7))
     labels = np.arange(n) * 10
-    assert np.array_equal(sorted_neighbor_labels(X, labels, Q, k), labels[qidx])
+    for route in ROUTES:
+        with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+            g = knn_graph(X, k)
+            assert g.edge_set() == want_edges
+            for (i, j), v in zip(g.edges, g.sq_dists):
+                assert v == np.sum((X[i] - X[j]) ** 2)
+            nbrs, w = kernel_rows(Q, X, k, 1.7)
+            assert np.array_equal(nbrs, qidx)
+            assert np.array_equal(w, np.exp(-qd2 / 1.7))
+            got = sorted_neighbor_labels(X, labels, Q, k)
+            assert np.array_equal(got, labels[qidx])
+
+
+def all_pair_sq_dists(Q, X):
+    """graph._sq_dists on every (query, training point) pair, as a q x n array."""
+    rows = np.repeat(np.arange(Q.shape[0]), X.shape[0])
+    cols = np.tile(np.arange(X.shape[0]), Q.shape[0])
+    QT, XT = np.ascontiguousarray(Q.T), np.ascontiguousarray(X.T)
+    return graph._sq_dists(QT, XT, rows, cols).reshape(Q.shape[0], X.shape[0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 8, 14, 36, 100])
+def test_sequential_column_sum_is_cdist_bit_for_bit(d):
+    # the refine's contract: every distance the screen returns is cdist's
+    rng = np.random.default_rng(d)
+    for scale, offset in ((1.0, 0.0), (1e-3, 7.0), (1e5, -3e6), (1e-120, 1e-110)):
+        col_scale = scale * 10.0 ** rng.uniform(-3, 3, d)  # mixed scales
+        X = rng.standard_normal((30, d)) * col_scale + offset
+        Q = rng.standard_normal((20, d)) * col_scale + offset
+        assert np.array_equal(all_pair_sq_dists(Q, X), cdist(Q, X, "sqeuclidean"))
+
+
+@st.composite
+def float_pairs(draw):
+    """Queries and points of any finite floats up to 1e100, 1 to 40 columns."""
+    d = draw(st.integers(1, 40))
+    coords = st.floats(-1e100, 1e100)
+    Q = draw(arrays(np.float64, (draw(st.integers(1, 4)), d), elements=coords))
+    X = draw(arrays(np.float64, (draw(st.integers(1, 4)), d), elements=coords))
+    return Q, X
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_pairs())
+def test_sequential_column_sum_is_cdist_on_any_floats(pair):
+    Q, X = pair
+    assert np.array_equal(all_pair_sq_dists(Q, X), cdist(Q, X, "sqeuclidean"))
+
+
+def cdist_sort_neighbors(Q, X, k, skip_self=False):
+    """Reference rule on cdist values: the first k columns of a full stable argsort."""
+    d2 = cdist(Q, X, "sqeuclidean")
+    if skip_self:
+        np.fill_diagonal(d2, np.inf)
+    idx = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return idx, np.take_along_axis(d2, idx, axis=1)
+
+
+def screened_nearest(Q, X, k, skip_self=False):
+    """_nearest with every call sent to the screen; also says whether any
+    block fell back to the exact cdist path."""
+    with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", 0), \
+            mock.patch.object(graph, "cdist", wraps=cdist) as spy:
+        idx, d2 = graph._nearest(Q, X, k, skip_self=skip_self)
+    return idx, d2, spy.called
+
+
+def _adversarial(case):
+    rng = np.random.default_rng(17)
+    if case == "offset 1e6":
+        X = rng.standard_normal((400, 5)) + 1e6
+        return rng.standard_normal((300, 5)) + 1e6, X, 5, False
+    if case == "near duplicates":
+        base = rng.standard_normal((200, 4))
+        X = np.vstack([base, np.nextafter(base, np.inf)])  # x and x + 1 ulp
+        Q = np.vstack([base[:60], np.nextafter(base[60:120], -np.inf)])
+        return Q, X, 3, False
+    if case == "d = 1":
+        return rng.standard_normal((300, 1)), rng.standard_normal((500, 1)), 7, False
+    if case == "integer grid ties":
+        X = rng.integers(0, 4, (600, 3)).astype(float)
+        return rng.integers(0, 4, (200, 3)).astype(float), X, 10, False
+    if case == "squares overflow":
+        X = rng.standard_normal((300, 3)) * 1e155
+        return rng.standard_normal((40, 3)) * 1e155, X, 4, True
+    if case == "candidates over the cap":
+        X = rng.standard_normal((3000, 2))
+        X[0] = 1e9  # the far point's norm widens every row's margin past the spread
+        return rng.standard_normal((200, 2)), X, 4, True
+    raise KeyError(case)
+
+
+@pytest.mark.parametrize("case", [
+    "offset 1e6", "near duplicates", "d = 1", "integer grid ties",
+    "squares overflow", "candidates over the cap",
+])
+def test_screen_matches_the_full_sort_on_adversarial_inputs(case):
+    Q, X, k, falls_back = _adversarial(case)
+    idx, d2, fell_back = screened_nearest(Q, X, k)
+    want_idx, want_d2 = cdist_sort_neighbors(Q, X, k)
+    assert np.array_equal(idx, want_idx)
+    assert np.array_equal(d2, want_d2)
+    assert fell_back == falls_back
+    idx, d2, _ = screened_nearest(X, X, k, skip_self=True)
+    want_idx, want_d2 = cdist_sort_neighbors(X, X, k, skip_self=True)
+    assert np.array_equal(idx, want_idx)
+    assert np.array_equal(d2, want_d2)
+
+
+def test_screen_keeps_k_equal_n_in_sorted_neighbor_labels():
+    rng = np.random.default_rng(23)
+    X = rng.integers(0, 3, (40, 2)).astype(float)
+    Q = rng.standard_normal((30, 2))
+    labels = np.arange(40) * 10
+    want = labels[cdist_sort_neighbors(Q, X, 40)[0]]
+    for route in ROUTES:
+        with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+            assert np.array_equal(sorted_neighbor_labels(X, labels, Q, 40), want)
+
+
+def test_screened_search_memory_stays_at_the_block_scale():
+    # q x n float64 is 48 MB here, and a (candidates x d) gather of one block
+    # about 5 MB; the search may hold its inputs' copies, its outputs and a
+    # few blocks, never either
+    rng = np.random.default_rng(29)
+    X = rng.standard_normal((3000, 36))
+    Q = rng.standard_normal((2000, 36))
+    k = 200
+    tracemalloc.start()
+    try:
+        _, _, fell_back = screened_nearest(Q, X, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not fell_back
+    outputs = 2 * Q.shape[0] * k * 8
+    copies = 2 * (Q.nbytes + X.nbytes)
+    assert peak < outputs + copies + 4 * graph._BLOCK_ENTRIES * 8
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_kernel_rows_reject_a_query_dimension_mismatch(route):
+    X = np.arange(12.0).reshape(6, 2)
+    with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+        with pytest.raises(ValueError, match="queries have 3 coordinates but the "
+                           "training points have 2"):
+            kernel_rows(np.zeros((4, 3)), X, 2, 1.0)
 
 
 def test_stored_edge_lengths_need_the_graph_vertices():
