@@ -17,7 +17,9 @@ import numpy as np
 from .dataset import (
     PASSTHROUGH_REMAP,
     SATIMAGE_REMAP,
+    apply_standardize,
     class_counts,
+    column_stats,
     gen_circles,
     load_statlog,
     read_points,
@@ -123,6 +125,8 @@ def _experiment_schema(sweep: bool) -> dict:
     return schema
 
 
+_CLASSIFY = _experiment_schema(sweep=False)
+
 # verb -> option name -> (default, converter). Converters apply both to
 # config-file strings and to flag strings, so the two behave identically.
 _SCHEMAS = {
@@ -140,14 +144,9 @@ _SCHEMAS = {
     },
     "embed": {
         "train": (None, str),
-        "pipeline": ("ccdr", str),
-        "m": (2, int),
-        "k": (4, int),
-        "beta": (1.0, float),
-        "eps": (None, _opt_float),
-        "eps_scale": (1.0, float),
-        "standardize": (False, _bool),
-        "remap": ("satimage", str),
+        # classify's fit options, defaults and converters
+        **{name: _CLASSIFY[name] for name in (
+            "pipeline", "m", "k", "beta", "eps", "eps_scale", "standardize", "remap")},
         "out": (None, str),
         "model_out": (None, str),
     },
@@ -160,7 +159,7 @@ _SCHEMAS = {
         "brute_force": (False, _bool),
     },
 }
-_SCHEMAS["classify"] = _experiment_schema(sweep=False)
+_SCHEMAS["classify"] = _CLASSIFY
 _SCHEMAS["sweep"] = {**_experiment_schema(sweep=True), "out": (None, str)}
 
 
@@ -266,8 +265,6 @@ def _cmd_embed(opts) -> int:
     remap = _parse_remap(opts["remap"])
     train = load_statlog(_resolve(opts["train"]), remap=remap)
     if opts["standardize"]:
-        from .dataset import apply_standardize, column_stats
-
         mean, sd = column_stats(train)
         train = apply_standardize(train, mean, sd)
     pf = fit_pipeline(

@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sparse
@@ -255,7 +255,7 @@ def _solve(
         m=int(m),
         train_points=points.copy(),
         train_labels=labels.copy(),
-        num_classes=L,
+        num_classes=int(L),
         class_sizes=np.bincount(labels, minlength=L + 1)[1:],
     )
     res = constraint_residuals(model, W=W, C=C)
@@ -474,7 +474,7 @@ def shrink(model: CcdrModel, m: int) -> CcdrModel:
         beta=model.beta,
         eps=model.eps,
         k=model.k,
-        m=m,
+        m=int(m),
         train_points=model.train_points,
         train_labels=model.train_labels,
         num_classes=model.num_classes,
@@ -483,21 +483,15 @@ def shrink(model: CcdrModel, m: int) -> CcdrModel:
 
 
 def save_model(model: CcdrModel, path) -> None:
-    """Persist a model as a flat .npz container with a format version."""
+    """Persist a model as a flat .npz container with a format version.
+
+    Each CcdrModel field is one entry under its own name; scalars are 0-d
+    arrays (float64 beta and eps, int64 k, m and num_classes).
+    """
     np.savez(
         path,
         format_version=np.int64(MODEL_FORMAT_VERSION),
-        centers=model.centers,
-        embedding=model.embedding,
-        eigenvalues=model.eigenvalues,
-        beta=np.float64(model.beta),
-        eps=np.float64(model.eps),
-        k=np.int64(model.k),
-        m=np.int64(model.m),
-        train_points=model.train_points,
-        train_labels=model.train_labels,
-        num_classes=np.int64(model.num_classes),
-        class_sizes=model.class_sizes,
+        **{f.name: getattr(model, f.name) for f in fields(CcdrModel)},
     )
 
 
@@ -510,16 +504,5 @@ def load_model(path) -> CcdrModel:
                 "unsupported model format version %d (expected %d)"
                 % (version, MODEL_FORMAT_VERSION)
             )
-        return CcdrModel(
-            centers=z["centers"],
-            embedding=z["embedding"],
-            eigenvalues=z["eigenvalues"],
-            beta=float(z["beta"]),
-            eps=float(z["eps"]),
-            k=int(z["k"]),
-            m=int(z["m"]),
-            train_points=z["train_points"],
-            train_labels=z["train_labels"],
-            num_classes=int(z["num_classes"]),
-            class_sizes=z["class_sizes"],
-        )
+        entries = {f.name: z[f.name] for f in fields(CcdrModel)}
+    return CcdrModel(**{k: v.item() if v.ndim == 0 else v for k, v in entries.items()})

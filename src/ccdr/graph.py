@@ -227,6 +227,7 @@ def _nearest(
     idx = np.empty((q, k), dtype=np.int64)
     dist = np.empty((q, k))
     step = max(1, _BLOCK_ENTRIES // n)
+    rows = max(1, step // 8)
     screen = _Screen(Q, X) if q * n >= _SCREEN_MIN_PAIRS else None
     for s in range(0, q, step):
         e = min(q, s + step)
@@ -235,7 +236,12 @@ def _nearest(
             d2 = cdist(Q[s:e], X, "sqeuclidean")
             if skip_self:
                 d2[np.arange(e - s), np.arange(s, e)] = np.inf
-            kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+            # a few rows at a time: a block-sized partition copy freed
+            # beside d2 leaves a heap top past glibc's trim threshold, and
+            # each later block then page-faults its memory again
+            kth = np.empty((e - s, 1))
+            for r in range(0, e - s, rows):
+                kth[r : r + rows] = np.partition(d2[r : r + rows], k - 1, axis=1)[:, k - 1 : k]
             flat = np.flatnonzero(d2 <= kth)
             found = flat, d2.ravel()[flat]
         idx[s:e], dist[s:e] = _first_k(*found, e - s, n, k)
@@ -263,6 +269,8 @@ def knn_graph(points: np.ndarray, k: int) -> NeighborGraph:
     """Symmetrized-union kNN graph under Euclidean distance.
 
     Requires 1 <= k <= n - 1. Distance ties are broken by ascending index.
+    A kNN squared distance that overflows to inf is an error: the points
+    need rescaling.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 2:
@@ -271,6 +279,12 @@ def knn_graph(points: np.ndarray, k: int) -> NeighborGraph:
     if not 1 <= k <= n - 1:
         raise ValueError("k must satisfy 1 <= k <= n - 1, got k=%d, n=%d" % (k, n))
     nbrs, d2 = _nearest(points, points, k, skip_self=True)
+    bad = np.flatnonzero(~np.isfinite(d2).all(axis=1))
+    if bad.size:
+        raise ValueError(
+            "squared distance from point %d to a k-nearest neighbour overflows; "
+            "rescale the points" % bad[0]
+        )
     rows = np.repeat(np.arange(n), k)
     cols = nbrs.ravel()
     lo = np.minimum(rows, cols)

@@ -217,14 +217,17 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
 
     A grid point that violates a precondition becomes a row with nan
     metrics and the exception text in `note`; the sweep continues. Each
-    embedding is computed independently per parameter key, so removing one
-    grid point never changes another row. The heat weights and the test
-    points' kernel rows depend on graph_k alone, so they are built
-    once per graph_k and shared by every ccdr and lapeig point using it;
-    the result is the same bits as building them per point. With
-    measure_wall off, wall_ms is 0 and a rerun with the same config and
-    seed emits a byte-identical CSV; with it on, the first grid point that
-    uses a graph carries the graph's build time.
+    grid key (pipeline, beta, m, graph_k) is handled in one pass: one fit,
+    one embedding of the test points, then every (classifier, clf_k) row
+    from that embedding, so removing one grid point never changes another
+    row. The heat weights and the test points' kernel rows depend on
+    graph_k alone, so they are built once per graph_k and shared by every
+    ccdr and lapeig key using it; the result is the same bits as building
+    them per key. With measure_wall off, wall_ms is 0 and a rerun with the
+    same config and seed emits a byte-identical CSV; with it on, each row
+    carries its key's fit and test-embedding time plus its own
+    classification time, and the first grid point that uses a graph
+    carries the graph's build time.
     """
     for p in cfg.pipelines:
         if p not in PIPELINES:
@@ -240,49 +243,30 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
         raise ValueError("test set must be fully labeled")
     if test.num_classes > train.num_classes:
         raise ValueError("test set has labels unseen in training")
-    ctx = _Sweep(
-        cfg, train, test,
-        labeled=train.labels > 0,
-        clock=time.perf_counter if cfg.measure_wall else (lambda: 0.0),
-        k_max=max(cfg.clf_ks) if "knn" in cfg.classifiers else 1,
-    )
+    ctx = _Sweep(cfg, train, test, time.perf_counter if cfg.measure_wall else (lambda: 0.0))
     rows = []
     for pipeline in cfg.pipelines:
-        uses_graph = pipeline in _GRAPH_PIPELINES
-        uses_m = pipeline != "raw"
-        uses_beta = pipeline == "ccdr"
-        for classifier in cfg.classifiers:
-            for beta in _axis(cfg.betas, uses_beta, 0.0):
-                for m in _axis(cfg.ms, uses_m, train.d):
-                    for graph_k in _axis(cfg.graph_ks, uses_graph, 0):
-                        for clf_k in _axis(cfg.clf_ks, classifier == "knn", 0):
-                            rows.append(
-                                _one_row(ctx, pipeline, classifier, beta, m, graph_k, clf_k)
-                            )
+        for beta in _axis(cfg.betas, pipeline == "ccdr", 0.0):
+            for m in _axis(cfg.ms, pipeline != "raw", train.d):
+                for graph_k in _axis(cfg.graph_ks, pipeline in _GRAPH_PIPELINES, 0):
+                    rows.extend(ctx.key_rows(pipeline, beta, m, graph_k))
     rows.sort(key=lambda r: (r.pipeline, r.classifier, r.beta, r.m, r.graph_k, r.clf_k))
     return SweepReport(config=cfg, rows=tuple(rows))
 
 
 @dataclass
 class _Sweep:
-    """What the grid points of one run_sweep call share.
+    """What the grid keys of one run_sweep call share.
 
-    emb, nbr and lin are keyed by (pipeline, beta, m, graph_k): the fitted
-    pipeline with its test embedding and fit time, the test points' sorted
-    neighbour labels, and the linear classifier. graphs holds each graph_k's
-    heat weights, or the exception building them raised; test_kernels each
-    graph_k's kernel_rows of the test points.
+    Only graph_k's artefacts are kept between keys: graphs holds each
+    graph_k's heat weights, or the exception building them raised, and
+    test_kernels each graph_k's kernel_rows of the test points.
     """
 
     cfg: ExperimentConfig
     train: LabeledDataset
     test: LabeledDataset
-    labeled: np.ndarray
     clock: Callable
-    k_max: int
-    emb: dict = field(default_factory=dict)
-    nbr: dict = field(default_factory=dict)
-    lin: dict = field(default_factory=dict)
     graphs: dict = field(default_factory=dict)
     test_kernels: dict = field(default_factory=dict)
 
@@ -299,78 +283,84 @@ class _Sweep:
             raise got.with_traceback(None)
         return got
 
-    def embedded(self, pipeline, beta, m, graph_k):
+    def embed(self, pipeline, beta, m, graph_k):
+        """Fit one grid key; return its training and test embeddings."""
+        cfg, train, test = self.cfg, self.train, self.test
+        if pipeline not in _GRAPH_PIPELINES:
+            pf = fit_pipeline(pipeline, train, m=m)
+            return pf.train_embedding, pf.transform(test.points)
+        pf = _fit_on_graph(
+            pipeline, train, m, graph_k, beta, lambda: self.weights(graph_k),
+            cfg.oos_full_kernel, cfg.oos_refit,
+        )
+        if cfg.oos_full_kernel or cfg.oos_refit:
+            return pf.train_embedding, pf.transform(test.points)
+        # pf.transform on the test points' kernel rows, cached per graph_k
+        if graph_k not in self.test_kernels:
+            self.test_kernels[graph_k] = kernel_rows(
+                test.points, train.points, graph_k, pf.detail.eps
+            )
+        unlabeled = np.zeros(test.n, dtype=np.int64)
+        return pf.train_embedding, _extend(pf.detail, self.test_kernels[graph_k], unlabeled)
+
+    def key_rows(self, pipeline, beta, m, graph_k):
+        """Every (classifier, clf_k) row of one grid key, from one fit.
+
+        The first kNN row sorts the test points' neighbour labels up to the
+        largest clf_k and the others reuse them; the key's one linear row
+        fits the linear classifier.
+        """
+        cfg, train, test, clock = self.cfg, self.train, self.test, self.clock
         key = (pipeline, beta, m, graph_k)
-        if key not in self.emb:
-            cfg = self.cfg
-            t0 = self.clock()
+        cells = [
+            (classifier, clf_k)
+            for classifier in cfg.classifiers
+            for clf_k in _axis(cfg.clf_ks, classifier == "knn", 0)
+        ]
+        t0 = clock()
+        try:
+            train_emb, test_emb = self.embed(*key)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            fit_ms = (clock() - t0) * 1e3
+            return [_failed_row(key, c, k, fit_ms, exc) for c, k in cells]
+        fit_ms = (clock() - t0) * 1e3
+        labeled = train.labels > 0
+        train_emb, train_labs = train_emb[labeled], train.labels[labeled]
+        nbr = None
+        rows = []
+        for classifier, clf_k in cells:
+            t0 = clock()
             try:
-                if pipeline in _GRAPH_PIPELINES:
-                    pf = _fit_on_graph(
-                        pipeline, self.train, m, graph_k, beta,
-                        lambda: self.weights(graph_k),
-                        cfg.oos_full_kernel, cfg.oos_refit,
-                    )
-                    if cfg.oos_full_kernel or cfg.oos_refit:
-                        test_emb = pf.transform(self.test.points)
-                    else:
-                        # pf.transform on the test points' kernel rows, cached per graph_k
-                        if graph_k not in self.test_kernels:
-                            self.test_kernels[graph_k] = kernel_rows(
-                                self.test.points, self.train.points, graph_k, pf.detail.eps
-                            )
-                        unlabeled = np.zeros(self.test.n, dtype=np.int64)
-                        test_emb = _extend(pf.detail, self.test_kernels[graph_k], unlabeled)
+                if classifier == "knn":
+                    if nbr is None:
+                        nbr = _classify.sorted_neighbor_labels(
+                            train_emb, train_labs, test_emb,
+                            min(max(cfg.clf_ks), train_labs.size),
+                        )
+                    if clf_k > nbr.shape[1]:
+                        raise ValueError("clf_k = %d exceeds labeled size" % clf_k)
+                    pred = _classify.vote(nbr, clf_k, train.num_classes)
                 else:
-                    pf = fit_pipeline(pipeline, self.train, m=m)
-                    test_emb = pf.transform(self.test.points)
-                self.emb[key] = (pf, test_emb, (self.clock() - t0) * 1e3)
+                    lin = _classify.linear_fit(train_emb, train_labs, train.num_classes)
+                    pred = lin.predict(test_emb)
+                err_count = int(np.sum(pred != test.labels))
+                lo, hi = confidence_interval(err_count, test.n, cfg.ci_level)
             except (ValueError, np.linalg.LinAlgError) as exc:
-                self.emb[key] = (exc, None, (self.clock() - t0) * 1e3)
-        return self.emb[key]
+                wall = fit_ms + (clock() - t0) * 1e3
+                rows.append(_failed_row(key, classifier, clf_k, wall, exc))
+                continue
+            rows.append(SweepRow(
+                pipeline, classifier, beta, m, graph_k, clf_k,
+                err_count / test.n, lo, hi, fit_ms + (clock() - t0) * 1e3,
+            ))
+        return rows
 
 
-def _one_row(ctx: _Sweep, pipeline, classifier, beta, m, graph_k, clf_k):
-    key = (pipeline, beta, m, graph_k)
-    fit_res, test_emb, fit_ms = ctx.embedded(pipeline, beta, m, graph_k)
-    if isinstance(fit_res, Exception):
-        return SweepRow(
-            pipeline, classifier, beta, m, graph_k, clf_k,
-            float("nan"), float("nan"), float("nan"), fit_ms, note=str(fit_res),
-        )
-    train, test, clock = ctx.train, ctx.test, ctx.clock
-    t0 = clock()
-    try:
-        train_emb = fit_res.train_embedding[ctx.labeled]
-        train_labs = train.labels[ctx.labeled]
-        if classifier == "knn":
-            if key not in ctx.nbr:
-                ctx.nbr[key] = _classify.sorted_neighbor_labels(
-                    train_emb, train_labs, test_emb, min(ctx.k_max, train_labs.size)
-                )
-            nbr = ctx.nbr[key]
-            if clf_k > nbr.shape[1]:
-                raise ValueError("clf_k = %d exceeds labeled size" % clf_k)
-            pred = _classify.vote(nbr, clf_k, train.num_classes)
-        else:
-            if key not in ctx.lin:
-                ctx.lin[key] = _classify.linear_fit(
-                    train_emb, train_labs, train.num_classes
-                )
-            pred = ctx.lin[key].predict(test_emb)
-        err_count = int(np.sum(pred != test.labels))
-        err = err_count / test.n
-        lo, hi = confidence_interval(err_count, test.n, ctx.cfg.ci_level)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        return SweepRow(
-            pipeline, classifier, beta, m, graph_k, clf_k,
-            float("nan"), float("nan"), float("nan"),
-            fit_ms + (clock() - t0) * 1e3, note=str(exc),
-        )
-    wall = fit_ms + (clock() - t0) * 1e3
+def _failed_row(key, classifier, clf_k, wall_ms, exc) -> SweepRow:
+    pipeline, beta, m, graph_k = key
+    nan = float("nan")
     return SweepRow(
-        pipeline, classifier, beta, m, graph_k, clf_k,
-        err, lo, hi, wall,
+        pipeline, classifier, beta, m, graph_k, clf_k, nan, nan, nan, wall_ms, note=str(exc)
     )
 
 

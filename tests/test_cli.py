@@ -29,6 +29,13 @@ SWEEP_OPTIONS = dict(
 CLASSIFY_OPTIONS = dict(
     _COMMON_OPTIONS, pipeline="ccdr", classifier="knn", beta=1.0, m=2, k=4, clf_k=1,
 )
+# embed's options with their defaults, as written out by hand before its fit
+# options were taken from classify's table
+EMBED_OPTIONS = {
+    "train": None, "pipeline": "ccdr", "m": 2, "k": 4, "beta": 1.0, "eps": None,
+    "eps_scale": 1.0, "standardize": False, "remap": "satimage", "out": None,
+    "model_out": None,
+}
 
 
 @pytest.fixture()
@@ -200,7 +207,9 @@ def test_sweep_writes_report(split_files, tmp_path, capsys):
 
 
 def test_sweep_and_classify_options_keep_their_names_and_defaults():
-    for verb, want in (("sweep", SWEEP_OPTIONS), ("classify", CLASSIFY_OPTIONS)):
+    for verb, want in (
+        ("sweep", SWEEP_OPTIONS), ("classify", CLASSIFY_OPTIONS), ("embed", EMBED_OPTIONS),
+    ):
         got = {name: default for name, (default, _) in _SCHEMAS[verb].items()}
         assert got == want
         assert [type(got[n]) for n in want] == [type(v) for v in want.values()]

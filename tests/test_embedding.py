@@ -419,6 +419,29 @@ def test_model_round_trip(tmp_path, blob30):
     assert np.array_equal(embed_oos(back, x, 1), embed_oos(model, x, 1))
 
 
+def test_load_model_reads_the_v1_layout(tmp_path, blob30):
+    model = fit(blob30, k=5, eps=None, beta=0.8, m=2)
+    # a version 1 file, written entry by entry with its dtypes
+    v1 = dict(
+        format_version=np.int64(1), centers=model.centers, embedding=model.embedding,
+        eigenvalues=model.eigenvalues, beta=np.float64(0.8), eps=np.float64(model.eps),
+        k=np.int64(5), m=np.int64(2), train_points=model.train_points,
+        train_labels=model.train_labels, num_classes=np.int64(3), class_sizes=model.class_sizes,
+    )
+    np.savez(tmp_path / "v1.npz", **v1)
+    back = load_model(tmp_path / "v1.npz")
+    for f in dataclasses.fields(CcdrModel):
+        want = getattr(model, f.name)
+        assert type(getattr(back, f.name)) is type(want)
+        assert np.array_equal(getattr(back, f.name), want)
+    # save_model writes the same entries, in the same order, with the same dtypes
+    save_model(model, tmp_path / "saved.npz")
+    with np.load(tmp_path / "saved.npz") as z:
+        assert z.files == list(v1)
+        for name, want in v1.items():
+            assert z[name].dtype == want.dtype and np.array_equal(z[name], want)
+
+
 def test_load_model_rejects_future_version(tmp_path, blob30):
     model = fit(blob30, k=5, eps=None, beta=0.8, m=2)
     p = tmp_path / "model.npz"
@@ -429,6 +452,13 @@ def test_load_model_rejects_future_version(tmp_path, blob30):
     np.savez(p, **data)
     with pytest.raises(ValueError, match="unsupported model format version 2 \\(expected 1\\)"):
         load_model(p)
+
+
+def test_fit_rejects_overflowing_distances():
+    ds = LabeledDataset(np.random.default_rng(0).standard_normal((20, 3)) * 1e155,
+                        np.repeat([1, 2], 10), 2)
+    with pytest.raises(ValueError, match="point 0 .* overflows; rescale the points"):
+        fit(ds, k=3, beta=0.5, m=2)
 
 
 def gaussian_classes(n, L=3, d=4, seed=12):

@@ -77,6 +77,17 @@ def test_knn_validation():
         knn_graph(pts, 0)
 
 
+def test_knn_graph_rejects_overflowing_distances():
+    pts = np.random.default_rng(0).standard_normal((20, 3))
+    msg = "squared distance from point %d to a k-nearest neighbour overflows; rescale the points"
+    with pytest.raises(ValueError, match=msg % 0):
+        knn_graph(pts * 1e155, 3)
+    pts[7] *= 1e160  # only the far point's neighbours overflow
+    with pytest.raises(ValueError, match=msg % 7):
+        knn_graph(pts, 3)
+    assert np.all(np.isfinite(knn_graph(pts[:7], 3).sq_dists))
+
+
 def test_no_self_loops_and_sorted_pairs():
     rng = np.random.default_rng(22)
     g = knn_graph(rng.standard_normal((20, 2)), 4)
@@ -423,6 +434,23 @@ def test_screened_search_memory_stays_at_the_block_scale():
     outputs = 2 * Q.shape[0] * k * 8
     copies = 2 * (Q.nbytes + X.nbytes)
     assert peak < outputs + copies + 4 * graph._BLOCK_ENTRIES * 8
+
+
+def test_cdist_search_holds_one_block_of_distances():
+    # one 250 x 1000 block: its distances are 2 MB, and the k-th smallest of
+    # each row is found without a second block-sized copy beside them
+    rng = np.random.default_rng(31)
+    X = rng.standard_normal((1000, 5))
+    Q = rng.standard_normal((250, 5))
+    tracemalloc.start()
+    try:
+        idx, d2 = graph._nearest(Q, X, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want_idx, want_d2 = cdist_sort_neighbors(Q, X, 5)
+    assert np.array_equal(idx, want_idx) and np.array_equal(d2, want_d2)
+    assert peak < 1.5 * Q.shape[0] * X.shape[0] * 8
 
 
 @pytest.mark.parametrize("route", ROUTES)

@@ -2,12 +2,14 @@
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import ccdr.classify
 import ccdr.graph
+import ccdr.harness
 from ccdr.classify import KnnClassifier, linear_fit
 from ccdr.dataset import (
     LabeledDataset,
@@ -19,6 +21,7 @@ from ccdr.embedding import constraint_residuals, embed_many, fit, refit_embed
 from ccdr.graph import heat_weights, knn_graph, median_eps
 from ccdr.harness import (
     CSV_HEADER,
+    PIPELINES,
     ExperimentConfig,
     SweepReport,
     SweepRow,
@@ -295,6 +298,33 @@ def test_run_sweep_builds_each_graph_once(circle_files, monkeypatch):
     # point with 2 clf_k rows for knn and one for linear
     assert len(rows) == (8 + 4) * 3
     assert sorted(calls) == [4, 6]
+
+
+def test_run_sweep_fits_and_embeds_each_grid_key_once(circle_files, monkeypatch):
+    calls = Counter()
+    for module, name in (
+        (ccdr.harness, "_solve"), (ccdr.harness, "pca_fit"), (ccdr.harness, "lda_fit"),
+        (ccdr.harness, "_extend"), (ccdr.classify, "linear_fit"),
+    ):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    trn, tst = circle_files
+    cfg = ExperimentConfig(
+        train_path=trn, test_path=tst, remap={1: 1, 2: 2}, pipelines=PIPELINES,
+        classifiers=("knn", "linear"), betas=(0.05, 0.5), ms=(1, 3), graph_ks=(4, 6),
+        clf_ks=(1, 3), measure_wall=False,
+    )
+    rows = run_sweep(cfg).rows
+    # grid keys: raw 1, pca 2 ms, lda 2 ms, ccdr 2 betas x 2 ms x 2 graph_ks,
+    # lapeig 2 ms x 2 graph_ks; pca and lda cannot reach m = 3 > d = 2
+    assert len(rows) == 17 * 3
+    assert {(r.pipeline, r.m) for r in rows if r.note} == {("pca", 3), ("lda", 3)}
+    # one fit and one test embedding (_extend) per key, failed fits included,
+    # and one linear classifier per linear key that fitted
+    assert calls == {"_solve": 12, "pca_fit": 2, "lda_fit": 2, "_extend": 12, "linear_fit": 15}
 
 
 def test_run_sweep_rows_equal_the_uncached_path(circle_files, monkeypatch):
