@@ -33,7 +33,6 @@ from .embedding import (
     fit,
     embed_oos,
     embed_many,
-    refit_embed,
     cost,
     constraint_residuals,
     shrink,
@@ -92,7 +91,6 @@ __all__ = [
     "fit",
     "embed_oos",
     "embed_many",
-    "refit_embed",
     "cost",
     "constraint_residuals",
     "shrink",

@@ -3,6 +3,8 @@
 Every verb accepts --config FILE with key=value lines (keys are the long
 option names, dashes or underscores); explicit flags override file values.
 Relative data paths are also resolved against $CCDR_DATA_DIR when set.
+sweep and oos share one --oos option, one of embedding.OOS_MODES, for how
+query points reach a fitted graph model.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .dataset import (
     read_points,
     save_statlog,
 )
-from .embedding import embed_many, load_model, refit_embed, save_model
+from .embedding import _check_oos, embed_many, load_model, save_model
 from .harness import ExperimentConfig, emit_report, fit_pipeline, run_sweep
 
 DATA_DIR_ENV = "CCDR_DATA_DIR"
@@ -98,7 +100,7 @@ _POINT_OPTIONS = {
     "pipelines": "pipeline", "classifiers": "classifier", "betas": "beta",
     "ms": "m", "graph_ks": "k", "clf_ks": "clf_k",
 }
-_SWEEP_ONLY = ("oos_full_kernel", "oos_refit")
+_SWEEP_ONLY = ("oos",)
 
 
 def _experiment_schema(sweep: bool) -> dict:
@@ -126,6 +128,7 @@ def _experiment_schema(sweep: bool) -> dict:
 
 
 _CLASSIFY = _experiment_schema(sweep=False)
+_SWEEP = {**_experiment_schema(sweep=True), "out": (None, str)}
 
 # verb -> option name -> (default, converter). Converters apply both to
 # config-file strings and to flag strings, so the two behave identically.
@@ -155,12 +158,11 @@ _SCHEMAS = {
         "points": (None, str),
         "out": (None, str),
         "remap": ("satimage", str),
-        "full_kernel": (False, _bool),
-        "brute_force": (False, _bool),
+        "oos": _SWEEP["oos"],
     },
+    "classify": _CLASSIFY,
+    "sweep": _SWEEP,
 }
-_SCHEMAS["classify"] = _CLASSIFY
-_SCHEMAS["sweep"] = {**_experiment_schema(sweep=True), "out": (None, str)}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -284,13 +286,11 @@ def _cmd_embed(opts) -> int:
 
 def _cmd_oos(opts) -> int:
     _require(opts, "model", "points", "out")
+    _check_oos(opts["oos"])
     model = load_model(_resolve(opts["model"]))
     remap = _parse_remap(opts["remap"])
     points, labels = read_points(_resolve(opts["points"]), remap=remap)
-    if opts["brute_force"]:
-        coords = np.vstack([refit_embed(model, x) for x in points])
-    else:
-        coords = embed_many(model, points, labels, full_kernel=opts["full_kernel"])
+    coords = embed_many(model, points, labels, opts["oos"])
     _write_embedding_csv(opts["out"], coords, labels)
     print("embedded %d query points; wrote %s" % (points.shape[0], opts["out"]))
     return 0

@@ -54,6 +54,9 @@ MODEL_FORMAT_VERSION = 1
 # same time (see CHANGES.md for the measurement).
 DENSE_MAX_ORDER = 300
 
+# embed_many's routes from a query to a fitted model
+OOS_MODES = ("nearest", "full", "refit")
+
 
 @dataclass(frozen=True)
 class AugmentedLaplacian:
@@ -348,16 +351,15 @@ def embed_oos(
     model: CcdrModel,
     x: np.ndarray,
     c: int = 0,
-    full_kernel: bool = False,
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Embed one new point, optionally with a known label c in {1..L}.
 
-    The kernel row keeps the k nearest training points by default;
-    full_kernel=True uses every training point. A precomputed length-n
-    `weights` vector, finite and nonnegative, overrides both. This is row 0
-    of embed_many and raises its "query 0 outside model support" error when
-    an unlabeled query has zero kernel mass.
+    The kernel row keeps the k nearest training points, as embed_many's
+    "nearest" route does; a precomputed length-n `weights` vector, finite
+    and nonnegative, replaces it. This is row 0 of embed_many and raises
+    its "query 0 outside model support" error when an unlabeled query has
+    zero kernel mass.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.shape != (model.d,):
@@ -365,7 +367,7 @@ def embed_oos(
     if np.ndim(c) or not (0 <= c <= model.num_classes and c % 1 == 0):
         raise ValueError("label c must lie in {0, .., %d}" % model.num_classes)
     if weights is None:
-        return embed_many(model, x[None], c, full_kernel)[0]
+        return embed_many(model, x[None], c)[0]
     weights = np.asarray(weights, dtype=np.float64).ravel()
     if weights.shape != (model.n,):
         raise ValueError("weights must have length n = %d" % model.n)
@@ -376,14 +378,26 @@ def embed_oos(
     return _extend(model, weights[None], np.array([c], dtype=np.int64))[0]
 
 
+def _check_oos(oos) -> None:
+    if oos not in OOS_MODES:
+        raise ValueError("oos must be one of %s" % ", ".join(OOS_MODES))
+
+
 def embed_many(
     model: CcdrModel,
     X: np.ndarray,
     c: np.ndarray | int = 0,
-    full_kernel: bool = False,
+    oos: str = "nearest",
 ) -> np.ndarray:
-    """Embed a batch of points; c is one label or a vector of labels. With
-    the k-nearest kernel (the default) a row does not depend on its batch."""
+    """Embed a batch of points; c is one label or a vector of labels.
+
+    oos picks the route: "nearest" extends each query from its k nearest
+    training points, so a row does not depend on its batch; "full" from
+    every training point, through a BLAS product whose last bits may change
+    with the batch; "refit" solves the model again with the query and its
+    label appended, the brute-force check of the extension.
+    """
+    _check_oos(oos)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.d:
         raise ValueError("X must be q x %d" % model.d)
@@ -394,12 +408,12 @@ def embed_many(
     if cs.min(initial=0) < 0 or cs.max(initial=0) > model.num_classes or (cs % 1).any():
         raise ValueError("labels must lie in {0, .., %d}" % model.num_classes)
     cs = cs.astype(np.int64)
-    if full_kernel:
-        _check_finite(X)
-        K = np.exp(-cdist(X, model.train_points, "sqeuclidean") / model.eps)
-    else:
-        K = kernel_rows(X, model.train_points, model.k, model.eps)
-    return _extend(model, K, cs)
+    if oos == "nearest":
+        return _extend(model, kernel_rows(X, model.train_points, model.k, model.eps), cs)
+    _check_finite(X)
+    if oos == "full":
+        return _extend(model, np.exp(-cdist(X, model.train_points, "sqeuclidean") / model.eps), cs)
+    return np.array([_refit_row(model, x, ci) for x, ci in zip(X, cs)]).reshape(q, model.m)
 
 
 def _extend(model: CcdrModel, K, cs: np.ndarray) -> np.ndarray:
@@ -433,21 +447,12 @@ def _extend(model: CcdrModel, K, cs: np.ndarray) -> np.ndarray:
     return num / ((1.0 - model.eigenvalues)[None, :] * den[:, None])
 
 
-def refit_embed(model: CcdrModel, x: np.ndarray) -> np.ndarray:
-    """Embed one point by refitting with it appended as an unlabeled vertex.
-
-    This is the brute-force alternative to the extension formula: the point
-    joins the training set without a label, the whole spectral problem is
-    solved again with the model's hyperparameters (same absolute eps), and
-    the new point's row is read off. Columns of the refitted solution are
-    sign-aligned to the original embedding before the row is returned.
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape != (model.d,):
-        raise ValueError("x must have dimension %d" % model.d)
-    _check_finite(x[None])
+def _refit_row(model: CcdrModel, x: np.ndarray, c: int) -> np.ndarray:
+    """x's row in a refit with x appended under label c, solved with the
+    model's hyperparameters (same absolute eps), its columns sign-aligned to
+    the original embedding."""
     pts = np.vstack([model.train_points, x[None, :]])
-    labs = np.concatenate([model.train_labels, [0]])
+    labs = np.concatenate([model.train_labels, [c]])
     refit = _solve(
         pts, labs, model.num_classes, _heat_graph(pts, model.k, model.eps),
         model.k, model.beta, model.m,

@@ -26,7 +26,7 @@ from .dataset import (
     gen_circles,
     load_statlog,
 )
-from .embedding import _check_fit, _extend, _solve, embed_many, refit_embed
+from .embedding import _check_fit, _check_oos, _extend, _solve, embed_many
 from .graph import _heat_graph, kernel_rows
 from .baselines import lda_fit, pca_fit
 
@@ -48,10 +48,9 @@ class ExperimentConfig:
     or a synthetic spec (synth = dict with n_per_class, radii, noise_sd);
     synthetic test data uses seed + 1. remap=None means the satimage label
     table. eps=None selects the median heuristic scaled by eps_scale.
-    oos_full_kernel and oos_refit choose how test points reach every graph
-    pipeline's embedding (ccdr and lapeig alike): the full heat kernel over
-    all training points, or a refit with the point appended, in place of
-    the k-nearest kernel rows. The `ccdr sweep` and `ccdr classify` options
+    oos (one of embedding.OOS_MODES: "nearest", "full" or "refit") is how
+    test points reach every graph pipeline's embedding, ccdr and lapeig
+    alike; see embed_many. The `ccdr sweep` and `ccdr classify` options
     are derived from these fields and their defaults (see cli.py).
     """
 
@@ -70,8 +69,7 @@ class ExperimentConfig:
     standardize: bool = False
     seed: int = 0
     ci_level: float = 0.8
-    oos_full_kernel: bool = False
-    oos_refit: bool = False
+    oos: str = "nearest"
     measure_wall: bool = True
 
 
@@ -152,13 +150,13 @@ def fit_pipeline(
     beta: float = 1.0,
     eps: float | None = None,
     eps_scale: float = 1.0,
-    oos_full_kernel: bool = False,
-    oos_refit: bool = False,
+    oos: str = "nearest",
 ) -> PipelineFit:
     """Fit one embedding pipeline on the training split only.
 
     The returned transform embeds arbitrary query points without touching
-    any fitted parameter; for CCDR queries enter unlabeled (c = 0).
+    any fitted parameter; for CCDR queries enter unlabeled (c = 0), and a
+    graph pipeline's queries take the embed_many route oos.
     """
     if pipeline == "raw":
         return PipelineFit("raw", train.points, lambda X: np.asarray(X, dtype=np.float64))
@@ -172,15 +170,12 @@ def fit_pipeline(
     if pipeline in _GRAPH_PIPELINES:
         return _fit_on_graph(
             pipeline, train, m, graph_k, beta,
-            lambda: _heat_graph(train.points, graph_k, eps, eps_scale),
-            oos_full_kernel, oos_refit,
+            lambda: _heat_graph(train.points, graph_k, eps, eps_scale), oos,
         )
     raise ValueError("unknown pipeline %r" % pipeline)
 
 
-def _fit_on_graph(
-    pipeline, train, m, graph_k, beta, weights, oos_full_kernel, oos_refit
-):
+def _fit_on_graph(pipeline, train, m, graph_k, beta, weights, oos):
     """Fit ccdr or lapeig on the heat weights that weights() returns.
 
     lapeig is the CCDR model with no class nodes and beta = 1, so both
@@ -198,14 +193,7 @@ def _fit_on_graph(
         model = _solve(
             train.points, train.labels, train.num_classes, weights(), graph_k, beta, m
         )
-    if oos_refit:
-        def transform(X):
-            X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-            return np.vstack([refit_embed(model, x) for x in X])
-    else:
-        def transform(X):
-            return embed_many(model, X, 0, full_kernel=oos_full_kernel)
-    return PipelineFit(pipeline, model.embedding, transform, model)
+    return PipelineFit(pipeline, model.embedding, lambda X: embed_many(model, X, 0, oos), model)
 
 
 def _axis(values, relevant: bool, placeholder):
@@ -235,6 +223,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     for c in cfg.classifiers:
         if c not in CLASSIFIERS:
             raise ValueError("unknown classifier %r" % c)
+    _check_oos(cfg.oos)
     if not (cfg.pipelines and cfg.classifiers and cfg.betas and cfg.ms
             and cfg.graph_ks and cfg.clf_ks):
         raise ValueError("all grids must be non-empty")
@@ -260,7 +249,8 @@ class _Sweep:
 
     Only graph_k's artefacts are kept between keys: graphs holds each
     graph_k's heat weights, or the exception building them raised, and
-    test_kernels each graph_k's kernel_rows of the test points.
+    test_kernels each graph_k's kernel_rows of the test points, which only
+    the "nearest" route uses.
     """
 
     cfg: ExperimentConfig
@@ -290,10 +280,9 @@ class _Sweep:
             pf = fit_pipeline(pipeline, train, m=m)
             return pf.train_embedding, pf.transform(test.points)
         pf = _fit_on_graph(
-            pipeline, train, m, graph_k, beta, lambda: self.weights(graph_k),
-            cfg.oos_full_kernel, cfg.oos_refit,
+            pipeline, train, m, graph_k, beta, lambda: self.weights(graph_k), cfg.oos
         )
-        if cfg.oos_full_kernel or cfg.oos_refit:
+        if cfg.oos != "nearest":
             return pf.train_embedding, pf.transform(test.points)
         # pf.transform on the test points' kernel rows, cached per graph_k
         if graph_k not in self.test_kernels:

@@ -9,8 +9,8 @@ import pytest
 import ccdr
 import ccdr.cli
 from ccdr.cli import _SCHEMAS, main
-from ccdr.dataset import gen_circles, load_statlog, save_statlog
-from ccdr.embedding import load_model
+from ccdr.dataset import gen_circles, load_statlog, read_points, save_statlog
+from ccdr.embedding import embed_many, load_model
 from ccdr.harness import ExperimentConfig, SweepReport, SweepRow
 
 # sweep's and classify's options with their defaults, as written out by hand
@@ -23,8 +23,7 @@ _COMMON_OPTIONS = {
 }
 SWEEP_OPTIONS = dict(
     _COMMON_OPTIONS, pipelines=("ccdr",), classifiers=("knn",), betas=(0.5,),
-    ms=(2,), graph_ks=(4,), clf_ks=(1,), oos_full_kernel=False,
-    oos_refit=False, no_wall=False, out=None,
+    ms=(2,), graph_ks=(4,), clf_ks=(1,), oos="nearest", no_wall=False, out=None,
 )
 CLASSIFY_OPTIONS = dict(
     _COMMON_OPTIONS, pipeline="ccdr", classifier="knn", beta=1.0, m=2, k=4, clf_k=1,
@@ -35,6 +34,10 @@ EMBED_OPTIONS = {
     "train": None, "pipeline": "ccdr", "m": 2, "k": 4, "beta": 1.0, "eps": None,
     "eps_scale": 1.0, "standardize": False, "remap": "satimage", "out": None,
     "model_out": None,
+}
+# oos's options with their defaults; --oos is sweep's option of the same name
+OOS_OPTIONS = {
+    "model": None, "points": None, "out": None, "remap": "satimage", "oos": "nearest",
 }
 
 
@@ -152,12 +155,17 @@ def test_oos_extension_and_brute_force(split_files, tmp_path):
     assert {int(l.rsplit(",", 1)[1]) for l in lines[1:]} == {1, 2}
     o2 = tmp_path / "oos_full.csv"
     assert main(["oos", "--model", str(mdl), "--points", tst, "--remap", "identity",
-                 "--out", str(o2), "--full-kernel", "true"]) == 0
+                 "--out", str(o2), "--oos", "full"]) == 0
     assert o2.read_text() != o1.read_text()
     o3 = tmp_path / "oos_refit.csv"
     assert main(["oos", "--model", str(mdl), "--points", tst, "--remap", "identity",
-                 "--out", str(o3), "--brute-force", "true"]) == 0
+                 "--out", str(o3), "--oos", "refit"]) == 0
     assert len(o3.read_text().splitlines()) == 21
+    # the refit takes each query with its label, as the extension does
+    points, labels = read_points(tst, remap={1: 1, 2: 2})
+    want = embed_many(load_model(mdl), points, labels, "refit")
+    got = np.loadtxt(o3, delimiter=",", skiprows=1)
+    assert np.array_equal(got[:, :2], want) and np.array_equal(got[:, 2], labels)
 
 
 def test_classify_prints_error_line(split_files, capsys):
@@ -209,12 +217,25 @@ def test_sweep_writes_report(split_files, tmp_path, capsys):
 def test_sweep_and_classify_options_keep_their_names_and_defaults():
     for verb, want in (
         ("sweep", SWEEP_OPTIONS), ("classify", CLASSIFY_OPTIONS), ("embed", EMBED_OPTIONS),
+        ("oos", OOS_OPTIONS),
     ):
         got = {name: default for name, (default, _) in _SCHEMAS[verb].items()}
         assert got == want
         assert [type(got[n]) for n in want] == [type(v) for v in want.values()]
     # the one intended difference: classify --beta keeps fit's default
     assert ExperimentConfig().betas == (0.5,)
+    assert _SCHEMAS["oos"]["oos"] is _SCHEMAS["sweep"]["oos"]
+
+
+def test_unknown_oos_route_fails_before_any_file_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    for argv in (
+        ["sweep", "--train", missing, "--test", missing, "--out", missing, "--oos", "knn"],
+        ["oos", "--model", missing, "--points", missing, "--out", missing, "--oos", "bogus"],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: oos must be one of nearest, full, refit\n"
+    assert not any(tmp_path.iterdir())
 
 
 def _config_passed(monkeypatch, argv):
@@ -237,7 +258,7 @@ def test_every_config_field_can_be_set_from_sweep(monkeypatch, tmp_path):
         "--pipelines", "raw,pca", "--classifiers", "linear", "--betas", "0.1,0.2",
         "--ms", "3,4", "--graph-ks", "5,6", "--clf-ks", "3", "--eps", "0.7",
         "--eps-scale", "2", "--standardize", "true", "--seed", "9",
-        "--ci-level", "0.9", "--oos-full-kernel", "true", "--oos-refit", "true",
+        "--ci-level", "0.9", "--oos", "refit",
         "--no-wall", "true",
     ]
     files = _config_passed(monkeypatch, argv + ["--train", "a.trn", "--test", "b.tst"])
@@ -252,7 +273,7 @@ def test_every_config_field_can_be_set_from_sweep(monkeypatch, tmp_path):
         "remap": {1: 1, 9: 2}, "pipelines": ("raw", "pca"), "classifiers": ("linear",),
         "betas": (0.1, 0.2), "ms": (3, 4), "graph_ks": (5, 6), "clf_ks": (3,),
         "eps": 0.7, "eps_scale": 2.0, "standardize": True, "seed": 9,
-        "ci_level": 0.9, "oos_full_kernel": True, "oos_refit": True,
+        "ci_level": 0.9, "oos": "refit",
         "measure_wall": False,
     }
     default = ExperimentConfig()
@@ -266,7 +287,7 @@ def test_classify_is_a_one_point_sweep(monkeypatch, capsys):
     ])
     assert (cfg.pipelines, cfg.classifiers, cfg.betas, cfg.ms, cfg.graph_ks, cfg.clf_ks) == (
         ("pca",), ("linear",), (1.0,), (3,), (6,), (5,))
-    assert cfg.measure_wall and not cfg.oos_full_kernel and not cfg.oos_refit
+    assert cfg.measure_wall and cfg.oos == "nearest"
     assert "error=0.5 ci80=[0.4,0.6]" in capsys.readouterr().out
 
 

@@ -18,6 +18,7 @@ from ccdr.embedding import (
     DENSE_MAX_ORDER,
     CcdrModel,
     MODEL_FORMAT_VERSION,
+    OOS_MODES,
     build_augmented,
     constraint_residuals,
     cost,
@@ -25,7 +26,6 @@ from ccdr.embedding import (
     embed_oos,
     fit,
     load_model,
-    refit_embed,
     save_model,
     shrink,
 )
@@ -254,7 +254,7 @@ def test_oos_full_kernel(blob30):
     model = fit(blob30, k=5, eps=None, beta=0.8, m=2)
     x = np.array([0.3, -0.2, 0.5])
     w = np.exp(-((blob30.points - x) ** 2).sum(axis=1) / model.eps)
-    got = embed_oos(model, x, 0, full_kernel=True)
+    got = embed_many(model, x[None], 0, "full")[0]
     want = embed_oos(model, x, 0, weights=w)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -264,16 +264,18 @@ def test_embed_many_matches_single(blob30):
     rng = np.random.default_rng(52)
     X = rng.standard_normal((6, 3)) * 0.5
     cs = np.array([0, 1, 2, 3, 0, 1])
-    for c, full in ((cs, False), (0, False), (0, True)):
-        batch = embed_many(model, X, c, full_kernel=full)
+    for c, oos in ((cs, "nearest"), (0, "nearest"), (0, "full")):
+        batch = embed_many(model, X, c, oos)
         for i in range(6):
             ci = int(np.broadcast_to(c, 6)[i])
-            single = embed_oos(model, X[i], ci, full_kernel=full)
-            assert np.array_equal(single, embed_many(model, X[i : i + 1], ci, full_kernel=full)[0])
-            if full:
+            single = embed_many(model, X[i : i + 1], ci, oos)[0]
+            if oos == "full":
+                w = np.exp(-cdist(X[i : i + 1], model.train_points, "sqeuclidean") / model.eps)
+                assert np.array_equal(single, embed_oos(model, X[i], ci, weights=w))
                 # the dense kernel goes through BLAS, which may sum in another order per batch size
                 assert batch[i] == pytest.approx(single, rel=1e-12, abs=1e-15)
             else:
+                assert np.array_equal(single, embed_oos(model, X[i], ci))
                 assert np.array_equal(batch[i], single)
 
 
@@ -392,12 +394,12 @@ def test_shrink_matches_direct_fit(blob30):
 
 def test_refit_embed_deterministic(blob30):
     model = fit(blob30, k=5, eps=None, beta=0.8, m=2)
-    a = refit_embed(model, np.ones(3))
-    b = refit_embed(model, np.ones(3))
+    a = embed_many(model, np.ones((1, 3)), oos="refit")[0]
+    b = embed_many(model, np.ones((1, 3)), oos="refit")[0]
     assert np.array_equal(a, b)
     assert a.shape == (2,) and np.all(np.isfinite(a))
-    with pytest.raises(ValueError, match="x must have dimension 3"):
-        refit_embed(model, np.ones(2))
+    with pytest.raises(ValueError, match="X must be q x 3"):
+        embed_many(model, np.ones((1, 2)), oos="refit")
 
 
 def test_model_round_trip(tmp_path, blob30):
@@ -550,11 +552,49 @@ def test_embed_rejects_non_finite_queries(blob30, bad):
     model = fit(blob30, k=5, eps=None, beta=0.8, m=2)
     X = blob30.points[:4].copy()
     X[2, 1] = bad
-    for full in (False, True):
+    for oos in ("nearest", "full"):
         with pytest.raises(ValueError, match="query 2 has a non-finite coordinate"):
-            embed_many(model, X, full_kernel=full)
+            embed_many(model, X, oos=oos)
         with pytest.raises(ValueError, match="query 0 has a non-finite coordinate"):
-            embed_oos(model, X[2], full_kernel=full)
+            embed_many(model, X[2:3], oos=oos)
+    with pytest.raises(ValueError, match="query 0 has a non-finite coordinate"):
+        embed_oos(model, X[2])
+
+
+@pytest.mark.parametrize("oos", OOS_MODES)
+def test_every_oos_route_keeps_the_batch_contract(blob30, oos):
+    model = fit(blob30, k=5, eps=None, beta=0.8, m=2)
+    empty = embed_many(model, np.empty((0, 3)), oos=oos)
+    assert empty.shape == (0, 2) and empty.dtype == np.float64
+    with pytest.raises(ValueError, match="X must be q x 3"):
+        embed_many(model, np.zeros(3), oos=oos)
+    X = blob30.points[:4].copy()
+    X[2, 0], X[3, 1] = np.nan, np.inf
+    with pytest.raises(ValueError, match="query 2 has a non-finite coordinate"):
+        embed_many(model, X, oos=oos)
+
+
+def test_embed_many_rejects_an_unknown_route(blob30):
+    model = fit(blob30, k=5, eps=None, beta=0.8, m=2)
+    for oos in ("knn", "", None, True):
+        with pytest.raises(ValueError, match="oos must be one of nearest, full, refit"):
+            embed_many(model, blob30.points[:2], oos=oos)
+
+
+def test_refit_honours_query_labels():
+    train = gen_circles(30, [1.0, 2.0], 0.02, seed=1)
+    test = gen_circles(10, [1.0, 2.0], 0.02, seed=2)
+    model = fit(train, k=4, beta=0.05, m=2)
+    refit = embed_many(model, test.points, test.labels, "refit")
+    unlabeled = embed_many(model, test.points, 0, "refit")
+    assert np.all(np.abs(refit - unlabeled).max(axis=1) > 1e-3)
+    # each row is the one-point refit under its own label
+    for i in (0, 12):
+        one = embed_many(model, test.points[i : i + 1], int(test.labels[i]), "refit")[0]
+        assert np.array_equal(refit[i], one)
+    # a labelled refit lands where the labelled extension puts the point
+    near = np.abs(refit - embed_many(model, test.points, test.labels)).max(axis=1)
+    assert near.max() < 0.1
 
 
 # graph._SCREEN_MIN_PAIRS values: every neighbour search screened, then exact

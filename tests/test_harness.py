@@ -17,7 +17,7 @@ from ccdr.dataset import (
     save_statlog,
 )
 from ccdr.baselines import laplacian_eigenmap
-from ccdr.embedding import constraint_residuals, embed_many, fit, refit_embed
+from ccdr.embedding import OOS_MODES, constraint_residuals, embed_many, fit
 from ccdr.graph import heat_weights, knn_graph, median_eps
 from ccdr.harness import (
     CSV_HEADER,
@@ -138,7 +138,7 @@ def test_fit_pipeline_lda_ignores_unlabeled_points():
 
 def test_fit_pipeline_refit_transform_is_deterministic():
     train = gen_circles(20, [1.0, 2.0], 0.02, seed=5)
-    pf = fit_pipeline("ccdr", train, 2, graph_k=4, beta=0.05, oos_refit=True)
+    pf = fit_pipeline("ccdr", train, 2, graph_k=4, beta=0.05, oos="refit")
     q = np.array([[0.5, 0.5], [-1.2, 0.3]])
     a = pf.transform(q)
     b = pf.transform(q)
@@ -164,10 +164,10 @@ def test_lapeig_is_ccdr_with_no_class_nodes():
 def test_lapeig_honours_the_oos_flags():
     train = gen_circles(20, [1.0, 2.0], 0.02, seed=5)
     q = np.array([[0.5, 0.5], [-1.2, 0.3], [3.0, 0.0]])
-    full = fit_pipeline("lapeig", train, 2, graph_k=4, oos_full_kernel=True)
-    assert np.array_equal(full.transform(q), embed_many(full.detail, q, 0, full_kernel=True))
-    refit = fit_pipeline("lapeig", train, 2, graph_k=4, oos_refit=True)
-    want = np.vstack([refit_embed(refit.detail, x) for x in q])
+    full = fit_pipeline("lapeig", train, 2, graph_k=4, oos="full")
+    assert np.array_equal(full.transform(q), embed_many(full.detail, q, 0, "full"))
+    refit = fit_pipeline("lapeig", train, 2, graph_k=4, oos="refit")
+    want = embed_many(refit.detail, q, 0, "refit")
     assert np.array_equal(refit.transform(q), want)
     plain = fit_pipeline("lapeig", train, 2, graph_k=4)
     assert not np.array_equal(plain.transform(q[:2]), full.transform(q[:2]))
@@ -270,12 +270,12 @@ def test_run_sweep_rows_are_independent(circle_files):
         assert a.error == b.error and a.ci_low == b.ci_low and a.ci_high == b.ci_high
 
 
-def _graph_grid(trn, tst, graph_ks):
+def _graph_grid(trn, tst, graph_ks, oos="nearest"):
     return ExperimentConfig(
         train_path=trn, test_path=tst, remap={1: 1, 2: 2},
         pipelines=("ccdr", "lapeig"), classifiers=("knn", "linear"),
         betas=(0.05, 0.5), ms=(1, 2), graph_ks=graph_ks, clf_ks=(1, 3),
-        measure_wall=False,
+        oos=oos, measure_wall=False,
     )
 
 
@@ -337,30 +337,34 @@ def test_run_sweep_rows_equal_the_uncached_path(circle_files, monkeypatch):
         return real(train_Y, train_labels, Q, k_max)
 
     monkeypatch.setattr(ccdr.classify, "sorted_neighbor_labels", recorded)
-    cfg = _graph_grid(*circle_files, graph_ks=(4, 6))
-    train, test = load_split(cfg)
-    lab = train.labels > 0
-    rows = run_sweep(cfg).rows
-    fits = {}
-    for pipeline in cfg.pipelines:
-        for beta in cfg.betas if pipeline == "ccdr" else (0.0,):
-            for m in cfg.ms:
-                for graph_k in cfg.graph_ks:
-                    pf = fit_pipeline(pipeline, train, m, graph_k=graph_k, beta=beta)
-                    fits[pipeline, beta, m, graph_k] = (pf.train_embedding, pf.transform(test.points))
-    assert len(seen) == len(fits)
-    for (train_Y, Q), (Y, Yq) in zip(seen, fits.values()):
-        assert np.array_equal(train_Y, Y[lab]) and np.array_equal(Q, Yq)
-    for r in rows:
-        Y, Yq = fits[r.pipeline, r.beta, r.m, r.graph_k]
-        if r.classifier == "knn":
-            clf = KnnClassifier(Y[lab], train.labels[lab], r.clf_k, 2)
-        else:
-            clf = linear_fit(Y[lab], train.labels[lab], 2)
-        errors = int(np.sum(clf.predict(Yq) != test.labels))
-        assert r.note == ""
-        assert (r.error, r.ci_low, r.ci_high) == (
-            errors / test.n, *confidence_interval(errors, test.n, cfg.ci_level))
+    # on every oos route, compared with fitting each grid point on its own
+    for oos in OOS_MODES:
+        cfg = _graph_grid(*circle_files, graph_ks=(4, 6), oos=oos)
+        train, test = load_split(cfg)
+        lab = train.labels > 0
+        seen.clear()
+        rows = run_sweep(cfg).rows
+        fits = {}
+        for pipeline in cfg.pipelines:
+            for beta in cfg.betas if pipeline == "ccdr" else (0.0,):
+                for m in cfg.ms:
+                    for graph_k in cfg.graph_ks:
+                        pf = fit_pipeline(pipeline, train, m, graph_k, beta, oos=oos)
+                        fits[pipeline, beta, m, graph_k] = (
+                            pf.train_embedding, pf.transform(test.points))
+        assert len(seen) == len(fits)
+        for (train_Y, Q), (Y, Yq) in zip(seen, fits.values()):
+            assert np.array_equal(train_Y, Y[lab]) and np.array_equal(Q, Yq)
+        for r in rows:
+            Y, Yq = fits[r.pipeline, r.beta, r.m, r.graph_k]
+            if r.classifier == "knn":
+                clf = KnnClassifier(Y[lab], train.labels[lab], r.clf_k, 2)
+            else:
+                clf = linear_fit(Y[lab], train.labels[lab], 2)
+            errors = int(np.sum(clf.predict(Yq) != test.labels))
+            assert r.note == ""
+            assert (r.error, r.ci_low, r.ci_high) == (
+                errors / test.n, *confidence_interval(errors, test.n, cfg.ci_level))
 
 
 def test_run_sweep_failed_graph_repeats_its_note(circle_files, monkeypatch):
@@ -411,7 +415,7 @@ def test_run_sweep_with_refit_extension(circle_files):
     cfg = ExperimentConfig(
         train_path=trn, test_path=tst, remap={1: 1, 2: 2},
         pipelines=("ccdr",), classifiers=("knn",), betas=(0.5,), ms=(2,),
-        graph_ks=(4,), clf_ks=(1,), oos_refit=True, measure_wall=False,
+        graph_ks=(4,), clf_ks=(1,), oos="refit", measure_wall=False,
     )
     rows = run_sweep(cfg).rows
     assert len(rows) == 1
@@ -425,6 +429,8 @@ def test_run_sweep_validation(circle_files):
         run_sweep(ExperimentConfig(pipelines=("mds",), **base))
     with pytest.raises(ValueError, match="unknown classifier 'svm'"):
         run_sweep(ExperimentConfig(classifiers=("svm",), **base))
+    with pytest.raises(ValueError, match="oos must be one of nearest, full, refit"):
+        run_sweep(ExperimentConfig(oos="knn", **base))
     with pytest.raises(ValueError, match="all grids must be non-empty"):
         run_sweep(ExperimentConfig(betas=(), **base))
 
