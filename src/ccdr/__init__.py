@@ -27,7 +27,6 @@ from .graph import (
 )
 from .spectral import EigenSolution, generalized_eig, sym_eig_desc
 from .embedding import (
-    AugmentedLaplacian,
     CcdrModel,
     build_augmented,
     fit,
@@ -85,7 +84,6 @@ __all__ = [
     "EigenSolution",
     "generalized_eig",
     "sym_eig_desc",
-    "AugmentedLaplacian",
     "CcdrModel",
     "build_augmented",
     "fit",

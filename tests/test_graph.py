@@ -270,10 +270,7 @@ BLOCK_SIZES = (1, graph._BLOCK_ENTRIES)
 ROUTES = (0, 1 << 62)
 
 
-@settings(max_examples=150, deadline=None)
-@given(grid_problem())
-def test_nearest_equals_full_stable_argsort(problem):
-    X, Q, k = problem
+def assert_nearest_follows_the_full_sort(X, Q, k):
     for block in BLOCK_SIZES:
         for route in ROUTES:
             with mock.patch.object(graph, "_BLOCK_ENTRIES", block), \
@@ -283,6 +280,57 @@ def test_nearest_equals_full_stable_argsort(problem):
                     want_idx, want_d2 = full_sort_neighbors(queries, X, k, skip_self)
                     assert np.array_equal(idx, want_idx)
                     assert np.array_equal(d2, want_d2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_problem())
+def test_nearest_equals_full_stable_argsort(problem):
+    assert_nearest_follows_the_full_sort(*problem)
+
+
+@st.composite
+def grouped_problem(draw):
+    """Integer-grid points with 2g <= n <= 4g + 17 for g = graph._GROUPS, so
+    _kth_upper bounds rows from column-group minima and some columns fall
+    outside the last whole group; k runs up to g. Some queries copy the
+    last points, so those columns are often among the nearest."""
+    g = graph._GROUPS
+    n = draw(st.integers(2 * g, 4 * g + 17))
+    d = draw(st.integers(1, 3))
+    hi = draw(st.sampled_from([2, 4, 10]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, hi, (n, d)).astype(float)
+    Q = rng.integers(0, hi, (draw(st.integers(1, 12)), d)).astype(float)
+    Q = np.vstack([Q, X[n - 1 - rng.integers(0, 20, 4)]])
+    return X, Q, draw(st.one_of(st.integers(1, 8), st.integers(1, g)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grouped_problem())
+def test_nearest_equals_full_stable_argsort_past_the_group_bound(problem):
+    assert_nearest_follows_the_full_sort(*problem)
+
+
+@pytest.mark.parametrize("n", [5, 127, 128, 129, 200, 256, 273, 700])
+def test_kth_upper_bounds_each_rows_kth_value(n):
+    # integer values tie often, and inf stands for a skipped diagonal or an
+    # overflowed distance; some rows hold fewer than k finite entries
+    rng = np.random.default_rng(n)
+    g = graph._GROUPS
+    for k in sorted({1, 2, 5, 16, 17, 40, g, n - 1} & set(range(1, n))):
+        S = rng.integers(0, 6, (40, n)).astype(float)
+        S[rng.random(S.shape) < 0.1] = np.inf
+        S[np.arange(40), np.arange(40) % n] = np.inf
+        S[0] = np.inf
+        S[1, : n - 1] = np.inf
+        S[2] = -np.arange(n, dtype=float)  # the k smallest in the last columns
+        kth = np.partition(S, k - 1, axis=1)[:, k - 1]
+        u = graph._kth_upper(S, k)
+        assert u.shape == (40,)
+        assert np.all(u >= kth)
+        assert np.all(np.count_nonzero(S <= u[:, None], axis=1) >= k)
+        if n < 2 * max(g, 4 * k):
+            assert np.array_equal(u, kth)
 
 
 @settings(max_examples=100, deadline=None)
@@ -403,6 +451,27 @@ def test_screen_matches_the_full_sort_on_adversarial_inputs(case):
     want_idx, want_d2 = cdist_sort_neighbors(X, X, k, skip_self=True)
     assert np.array_equal(idx, want_idx)
     assert np.array_equal(d2, want_d2)
+
+
+def test_screen_bound_stays_tight_on_gaussian_data():
+    # a loose bound keeps more candidates per row, and pushes blocks over
+    # the cap onto cdist; the refine sees every kept candidate
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((3000, 36))
+    Q = rng.standard_normal((1000, 36))
+    k = 5
+    real, refined = graph._sq_dists, []
+
+    def counted(QT, XT, rows, cols):
+        refined.append(rows.size)
+        return real(QT, XT, rows, cols)
+
+    with mock.patch.object(graph, "_sq_dists", counted):
+        idx, d2, fell_back = screened_nearest(Q, X, k)
+    assert not fell_back
+    assert sum(refined) / Q.shape[0] <= 1.25 * k
+    want_idx, want_d2 = cdist_sort_neighbors(Q, X, k)
+    assert np.array_equal(idx, want_idx) and np.array_equal(d2, want_d2)
 
 
 def test_screen_keeps_k_equal_n_in_sorted_neighbor_labels():
