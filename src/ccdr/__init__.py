@@ -1,8 +1,8 @@
 """Label-aware spectral embedding (CCDR) with an out-of-sample extension.
 
-The package bundles the embedding itself, classical baselines (PCA, MDS,
-LDA, Laplacian eigenmaps), two downstream classifiers, and a sweep harness
-with a small command line front end.
+The package bundles the embedding itself, classical baselines (PCA, LDA,
+Laplacian eigenmaps), two downstream classifiers, and a sweep harness with
+a small command line front end.
 """
 
 from .dataset import (
@@ -25,7 +25,7 @@ from .graph import (
     median_eps,
     kernel_rows,
 )
-from .spectral import EigenSolution, generalized_eig, sym_eig_desc
+from .spectral import EigenSolution, generalized_eig
 from .embedding import (
     CcdrModel,
     build_augmented,
@@ -42,7 +42,6 @@ from .baselines import (
     LinearEmbedding,
     pca_fit,
     pca_energy_dim,
-    mds_fit,
     lda_fit,
     laplacian_eigenmap,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "kernel_rows",
     "EigenSolution",
     "generalized_eig",
-    "sym_eig_desc",
     "CcdrModel",
     "build_augmented",
     "fit",
@@ -97,7 +95,6 @@ __all__ = [
     "LinearEmbedding",
     "pca_fit",
     "pca_energy_dim",
-    "mds_fit",
     "lda_fit",
     "laplacian_eigenmap",
     "LinearClassifier",

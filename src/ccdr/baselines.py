@@ -1,4 +1,4 @@
-"""Classical embeddings: PCA, metric MDS, Fisher LDA, Laplacian eigenmaps."""
+"""Classical embeddings: PCA, Fisher LDA, Laplacian eigenmaps."""
 
 from __future__ import annotations
 
@@ -10,10 +10,7 @@ import scipy.linalg
 
 from .embedding import _spectrum
 from .graph import WeightMatrix
-from .spectral import sym_eig_desc, _fix_signs
-
-# Eigenvalues at or below this are treated as zero energy in MDS.
-MDS_EIG_TOL = 1e-10
+from .spectral import _fix_signs, _warn_small_gaps
 
 
 @dataclass(frozen=True)
@@ -35,7 +32,9 @@ class LinearEmbedding:
 def pca_fit(points: np.ndarray, m: int) -> LinearEmbedding:
     """Top-m principal directions of the mean-centered covariance.
 
-    Rows of A are orthonormal (A A^T = I) and the offset is the sample mean.
+    Rows of A are orthonormal (A A^T = I), in non-increasing variance order
+    and sign-fixed so each row's largest-magnitude entry is positive (ties by
+    lowest index); the offset is the sample mean.
     """
     X = np.asarray(points, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -46,8 +45,10 @@ def pca_fit(points: np.ndarray, m: int) -> LinearEmbedding:
     mean = X.mean(axis=0)
     Xc = X - mean
     C = (Xc.T @ Xc) / n
-    sol = sym_eig_desc(C, m)
-    return LinearEmbedding(A=sol.vectors.T.copy(), offset=mean)
+    vals, vecs = scipy.linalg.eigh((C + C.T) / 2.0, subset_by_index=(d - m, d - 1))
+    _warn_small_gaps(vals)
+    A = _fix_signs(vecs[:, ::-1]).T
+    return LinearEmbedding(A=A.copy(), offset=mean)
 
 
 def pca_energy_dim(points: np.ndarray, frac: float) -> int:
@@ -63,43 +64,6 @@ def pca_energy_dim(points: np.ndarray, frac: float) -> int:
         raise ValueError("covariance has no energy (all points identical)")
     cum = np.cumsum(vals) / total
     return int(np.searchsorted(cum, frac - 1e-12) + 1)
-
-
-def mds_fit(D2: np.ndarray, m: int) -> np.ndarray:
-    """Classical MDS coordinates from squared distances, shape (n, m).
-
-    Double-centers B = -H D2 H / 2 with H = I - 11^T/n and keeps the top-m
-    eigenpairs; eigenvalues at or below 1e-10 contribute zero columns, and
-    meaningfully negative ones (a non-Euclidean input) trigger a warning
-    before clamping.
-    """
-    D2 = np.asarray(D2, dtype=np.float64)
-    if D2.ndim != 2 or D2.shape[0] != D2.shape[1]:
-        raise ValueError("D2 must be square")
-    n = D2.shape[0]
-    if not 1 <= m <= n:
-        raise ValueError("m must satisfy 1 <= m <= n = %d" % n)
-    scale = max(1.0, float(np.abs(D2).max(initial=0.0)))
-    if np.abs(D2 - D2.T).max(initial=0.0) > 1e-10 * scale:
-        raise ValueError("D2 must be symmetric")
-    if np.any(D2 < 0):
-        raise ValueError("D2 must be nonnegative")
-    if np.abs(np.diag(D2)).max(initial=0.0) > 1e-10 * scale:
-        raise ValueError("D2 must have a zero diagonal")
-    H = np.eye(n) - np.full((n, n), 1.0 / n)
-    B = -0.5 * (H @ D2 @ H)
-    B = (B + B.T) / 2.0
-    if np.linalg.eigvalsh(B)[0] < -MDS_EIG_TOL * scale:
-        warnings.warn(
-            "squared distances are not Euclidean; negative eigenvalues clamped to zero",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    sol = sym_eig_desc(B, m)
-    vals = sol.values
-    pos = np.clip(vals, 0.0, None)
-    pos[vals <= MDS_EIG_TOL] = 0.0
-    return sol.vectors * np.sqrt(pos)[None, :]
 
 
 def lda_fit(points: np.ndarray, labels: np.ndarray, m: int) -> LinearEmbedding:

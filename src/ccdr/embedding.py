@@ -70,8 +70,6 @@ class AugmentedLaplacian:
     lap: np.ndarray | sparse.csr_matrix
     deg: np.ndarray
     num_classes: int
-    n_points: int
-    beta: float
 
 
 @dataclass(frozen=True)
@@ -144,8 +142,6 @@ def build_augmented(C, W, beta: float) -> AugmentedLaplacian:
         lap=lap if L + n > DENSE_MAX_ORDER else lap.toarray(),
         deg=deg,
         num_classes=L,
-        n_points=n,
-        beta=float(beta),
     )
 
 
@@ -395,7 +391,9 @@ def embed_many(
     training points, so a row does not depend on its batch; "full" from
     every training point, through a BLAS product whose last bits may change
     with the batch; "refit" solves the model again with the query and its
-    label appended, the brute-force check of the extension.
+    label appended. A labelled refit lands near the extension's row; an
+    unlabelled one is no check of the extension at small beta, where the
+    appended low-degree vertex can pull an eigenvector onto itself.
     """
     _check_oos(oos)
     X = np.asarray(X, dtype=np.float64)

@@ -56,10 +56,6 @@ class WeightMatrix:
     matrix: csr_matrix
     eps: float
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
     def degrees(self) -> np.ndarray:
         return np.asarray(self.matrix.sum(axis=1)).ravel()
 

@@ -100,7 +100,6 @@ class SweepReport:
 class PipelineFit:
     """A fitted embedding: training coordinates plus a transform for new points."""
 
-    name: str
     train_embedding: np.ndarray
     transform: Callable
     detail: object = None
@@ -159,14 +158,14 @@ def fit_pipeline(
     graph pipeline's queries take the embed_many route oos.
     """
     if pipeline == "raw":
-        return PipelineFit("raw", train.points, lambda X: np.asarray(X, dtype=np.float64))
+        return PipelineFit(train.points, lambda X: np.asarray(X, dtype=np.float64))
     if pipeline == "pca":
         emb = pca_fit(train.points, m)
-        return PipelineFit("pca", emb.transform(train.points), emb.transform, emb)
+        return PipelineFit(emb.transform(train.points), emb.transform, emb)
     if pipeline == "lda":
         mask = train.labels > 0
         emb = lda_fit(train.points[mask], train.labels[mask], m)
-        return PipelineFit("lda", emb.transform(train.points), emb.transform, emb)
+        return PipelineFit(emb.transform(train.points), emb.transform, emb)
     if pipeline in _GRAPH_PIPELINES:
         return _fit_on_graph(
             pipeline, train, m, graph_k, beta,
@@ -193,7 +192,7 @@ def _fit_on_graph(pipeline, train, m, graph_k, beta, weights, oos):
         model = _solve(
             train.points, train.labels, train.num_classes, weights(), graph_k, beta, m
         )
-    return PipelineFit(pipeline, model.embedding, lambda X: embed_many(model, X, 0, oos), model)
+    return PipelineFit(model.embedding, lambda X: embed_many(model, X, 0, oos), model)
 
 
 def _axis(values, relevant: bool, placeholder):
@@ -266,7 +265,7 @@ class _Sweep:
                 self.graphs[graph_k] = _heat_graph(
                     self.train.points, graph_k, self.cfg.eps, self.cfg.eps_scale
                 )
-            except (ValueError, np.linalg.LinAlgError) as exc:
+            except ValueError as exc:
                 self.graphs[graph_k] = exc
         got = self.graphs[graph_k]
         if isinstance(got, Exception):
@@ -309,7 +308,7 @@ class _Sweep:
         t0 = clock()
         try:
             train_emb, test_emb = self.embed(*key)
-        except (ValueError, np.linalg.LinAlgError) as exc:
+        except ValueError as exc:
             fit_ms = (clock() - t0) * 1e3
             return [_failed_row(key, c, k, fit_ms, exc) for c, k in cells]
         fit_ms = (clock() - t0) * 1e3
@@ -334,7 +333,7 @@ class _Sweep:
                     pred = lin.predict(test_emb)
                 err_count = int(np.sum(pred != test.labels))
                 lo, hi = confidence_interval(err_count, test.n, cfg.ci_level)
-            except (ValueError, np.linalg.LinAlgError) as exc:
+            except ValueError as exc:
                 wall = fit_ms + (clock() - t0) * 1e3
                 rows.append(_failed_row(key, classifier, clf_k, wall, exc))
                 continue

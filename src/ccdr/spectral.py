@@ -1,4 +1,4 @@
-"""Symmetric and degree-weighted generalized eigensolvers.
+"""Degree-weighted generalized eigensolver for graph Laplacians.
 
 The generalized problem Lap u = lambda Dg u with a positive diagonal Dg is
 reduced by the similarity transform S = Dg^{-1/2} Lap Dg^{-1/2}; the
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 from scipy.linalg import eigh
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 # Below this gap the eigenvector basis inside a cluster is not unique.
 GAP_TOL = 1e-10
@@ -29,13 +29,11 @@ class EigenSolution:
     """Ascending eigenpairs of (Lap, Dg).
 
     values has shape (count,), vectors (p, count) with column l the
-    eigenvector of values[l], and metric_diag the Dg diagonal used for
-    orthonormalization (ones for the plain symmetric solver).
+    eigenvector of values[l].
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    metric_diag: np.ndarray
 
 
 def _fix_signs(U: np.ndarray) -> np.ndarray:
@@ -87,7 +85,8 @@ def generalized_eig(
     the wanted end of the spectrum before the solve. On a connected graph
     this returns exactly the eigenpairs after the constant one; on a
     disconnected graph, where the kernel basis is otherwise arbitrary, it
-    keeps the returned band Dg-orthogonal to the constant.
+    keeps the returned band Dg-orthogonal to the constant. A sparse solve
+    that does not converge raises np.linalg.LinAlgError.
     """
     if not sparse.issparse(lap):
         lap = np.asarray(lap, dtype=np.float64)
@@ -124,7 +123,7 @@ def generalized_eig(
         vals, vecs = eigh(S, subset_by_index=(0, count - 1))
     U = _fix_signs(s[:, None] * vecs)
     _warn_small_gaps(vals)
-    return EigenSolution(values=vals, vectors=U, metric_diag=deg.copy())
+    return EigenSolution(values=vals, vectors=U)
 
 
 def _lanczos_smallest(lap, s: np.ndarray, count: int, deflate):
@@ -154,22 +153,9 @@ def _lanczos_smallest(lap, s: np.ndarray, count: int, deflate):
     if deflate is not None:
         v0 -= (deflate @ v0) * deflate
     A = LinearOperator((p, p), matvec=matvec, dtype=np.float64)
-    theta, vecs = eigsh(A, k=count, which="LA", v0=v0)
+    try:
+        theta, vecs = eigsh(A, k=count, which="LA", v0=v0)
+    except ArpackNoConvergence as exc:
+        raise np.linalg.LinAlgError("Lanczos solve did not converge (%s)" % exc) from None
     order = np.argsort(-theta, kind="stable")
     return 2.0 - theta[order], vecs[:, order]
-
-
-def sym_eig_desc(M: np.ndarray, count: int) -> EigenSolution:
-    """Largest `count` eigenpairs of a symmetric matrix, descending order."""
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("M must be square")
-    p = M.shape[0]
-    if not 1 <= count <= p:
-        raise ValueError("count must satisfy 1 <= count <= %d, got %d" % (p, count))
-    _check_symmetric(M, "M")
-    vals, vecs = eigh((M + M.T) / 2.0, subset_by_index=(p - count, p - 1))
-    vals = vals[::-1].copy()
-    vecs = _fix_signs(vecs[:, ::-1])
-    _warn_small_gaps(vals[::-1])
-    return EigenSolution(values=vals, vectors=vecs, metric_diag=np.ones(p))

@@ -1,4 +1,5 @@
-"""Shared fixtures: Statlog satimage file discovery and small datasets.
+"""Shared fixtures: Statlog satimage file discovery, small datasets, and a
+Lanczos solver that does not converge.
 
 The Landsat-based tests need the UCI Statlog satimage files. They are not
 bundled; place sat.trn and sat.tst in the directory named by $CCDR_DATA_DIR
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import ccdr.spectral
 from ccdr.dataset import LabeledDataset, gen_circles
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -75,3 +78,13 @@ def nearly_cut_off():
     X = np.array([[1.872], [0.124], [-0.208], [-0.980], [-0.165], [-0.285], [-0.118], [0.088]])
     return LabeledDataset(X, np.array([1, 1, 0, 0, 1, 1, 0, 1]), 1, name="nearly-cut-off")
 
+
+@pytest.fixture()
+def arpack_fails(monkeypatch):
+    """Make every sparse (Lanczos) eigensolve raise ARPACK's non-convergence."""
+
+    def eigsh(*args, **kwargs):
+        msg = "No convergence (6001 iterations, 0/1 eigenvectors converged)"
+        raise ArpackNoConvergence(msg, np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(ccdr.spectral, "eigsh", eigsh)

@@ -1,15 +1,14 @@
-"""PCA, classical MDS, Fisher LDA, and Laplacian eigenmap baselines."""
+"""PCA, Fisher LDA, and Laplacian eigenmap baselines."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import pdist
 
 from ccdr.baselines import (
     lda_fit,
     laplacian_eigenmap,
-    mds_fit,
     pca_energy_dim,
     pca_fit,
 )
@@ -79,65 +78,32 @@ def test_pca_validation():
         pca_fit(np.ones((4, 3)), 4)
 
 
-def test_mds_three_point_line():
-    # points 0, 1, 3 on a line: centered coordinates -4/3, -1/3, 5/3 and
-    # one nonzero Gram eigenvalue 14/3
-    D2 = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 4.0], [9.0, 4.0, 0.0]])
-    Y = mds_fit(D2, 2)
-    assert Y[:, 0] == pytest.approx([-4.0 / 3.0, -1.0 / 3.0, 5.0 / 3.0], abs=1e-12)
-    assert np.abs(Y[:, 1]).max() < 1e-7  # rank-1 input pads with zeros
-    assert float(Y[:, 0] @ Y[:, 0]) == pytest.approx(14.0 / 3.0, rel=1e-12)
+def test_pca_rows_in_variance_order():
+    rng = np.random.default_rng(56)
+    X = rng.standard_normal((80, 5)) @ np.diag([0.5, 3.0, 0.1, 2.0, 1.0])
+    Xc = X - X.mean(axis=0)
+    C = (Xc.T @ Xc) / X.shape[0]
+    A = pca_fit(X, 5).A
+    assert np.all(np.diff(np.diag(A @ C @ A.T)) < 0)
 
 
-def test_mds_recovers_right_triangle():
-    P = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
-    Y = mds_fit(squareform(pdist(P) ** 2), 2)
-    assert np.sort(pdist(Y)) == pytest.approx([3.0, 4.0, 5.0], abs=1e-10)
+def test_pca_sign_convention():
+    # each row's largest-magnitude entry is positive; on an exact tie the
+    # lowest index wins, so the leading direction here is (1, -1) / sqrt(2)
+    X = np.array([[1.0, -1.0], [-1.0, 1.0], [0.5, 0.5], [-0.5, -0.5]])
+    A = pca_fit(X, 2).A
+    assert abs(A[0, 0]) == abs(A[0, 1])
+    assert A[0, 0] > 0 > A[0, 1]
+    rng = np.random.default_rng(57)
+    A = pca_fit(rng.standard_normal((50, 6)), 4).A
+    assert np.all(A[np.arange(4), np.argmax(np.abs(A), axis=1)] > 0)
 
 
-def test_mds_gram_reproduction():
-    rng = np.random.default_rng(55)
-    P = rng.standard_normal((12, 4))
-    D2 = squareform(pdist(P) ** 2)
-    Y = mds_fit(D2, 4)
-    H = np.eye(12) - np.full((12, 12), 1.0 / 12.0)
-    B = -0.5 * (H @ D2 @ H)
-    assert np.abs(Y @ Y.T - B).max() < 1e-8
-
-
-def test_mds_rigid_motion_invariance():
-    P = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
-    th = 0.7
-    R = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-    P2 = P @ R.T + np.array([10.0, -3.0])
-    d1 = np.sort(pdist(mds_fit(squareform(pdist(P) ** 2), 2)))
-    d2 = np.sort(pdist(mds_fit(squareform(pdist(P2) ** 2), 2)))
-    assert d1 == pytest.approx(d2, abs=1e-9)
-
-
-def test_mds_zeros_and_non_euclidean():
-    # an all-zero Gram matrix has a fully repeated spectrum, so the basis
-    # warning fires alongside the all-zero coordinates
-    with pytest.warns(RuntimeWarning, match="not unique"):
-        Y0 = mds_fit(np.zeros((3, 3)), 2)
-    assert np.array_equal(Y0, np.zeros((3, 2)))
-    bad = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 9.0], [1.0, 9.0, 0.0]])
-    with pytest.warns(RuntimeWarning, match="not Euclidean"):
-        Y = mds_fit(bad, 2)
-    assert np.all(np.isfinite(Y))
-
-
-def test_mds_validation():
-    with pytest.raises(ValueError, match="D2 must be square"):
-        mds_fit(np.zeros((2, 3)), 1)
-    with pytest.raises(ValueError, match="m must satisfy 1 <= m <= n = 3"):
-        mds_fit(np.zeros((3, 3)), 4)
-    with pytest.raises(ValueError, match="D2 must be symmetric"):
-        mds_fit(np.array([[0.0, 1.0], [2.0, 0.0]]), 1)
-    with pytest.raises(ValueError, match="D2 must be nonnegative"):
-        mds_fit(np.array([[0.0, -1.0], [-1.0, 0.0]]), 1)
-    with pytest.raises(ValueError, match="D2 must have a zero diagonal"):
-        mds_fit(np.array([[1.0, 1.0], [1.0, 1.0]]), 1)
+def test_pca_repeated_variance_warns_at_the_caller():
+    X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    with pytest.warns(RuntimeWarning, match="not unique") as record:
+        pca_fit(X, 2)
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_lda_separable_construction():

@@ -190,6 +190,15 @@ def test_classify_on_synthetic_source(capsys):
     assert "pipeline=ccdr" in capsys.readouterr().out
 
 
+def test_classify_reports_a_lanczos_failure(arpack_fails, capsys):
+    rc = main([
+        "classify", "--synth-n-per-class", "160", "--synth-noise-sd", "0.02",
+        "--pipeline", "lapeig", "--classifier", "knn", "--m", "1",
+    ])
+    assert rc == 2
+    assert "error: grid point failed: Lanczos solve did not converge" in capsys.readouterr().err
+
+
 def test_sweep_writes_report(split_files, tmp_path, capsys):
     trn, tst = split_files
     out = tmp_path / "sweep.csv"

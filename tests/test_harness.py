@@ -237,6 +237,18 @@ def test_run_sweep_error_rows_keep_note_and_continue(circle_files):
     assert "k must satisfy" in bad.note
 
 
+def test_run_sweep_records_a_lanczos_failure_as_a_row(arpack_fails):
+    # 320 points put lapeig on the sparse (Lanczos) path
+    cfg = ExperimentConfig(
+        synth={"n_per_class": 160, "radii": [1.0, 2.0], "noise_sd": 0.02}, seed=1,
+        pipelines=("lapeig", "raw"), ms=(1,), measure_wall=False,
+    )
+    lapeig, raw = run_sweep(cfg).rows
+    assert lapeig.pipeline == "lapeig" and math.isnan(lapeig.error)
+    assert lapeig.note.startswith("Lanczos solve did not converge (ARPACK error -1")
+    assert raw.pipeline == "raw" and raw.note == "" and np.isfinite(raw.error)
+
+
 def test_run_sweep_turns_a_failed_residual_gate_into_a_row(nearly_cut_off, tmp_path):
     trn, tst = tmp_path / "cut.trn", tmp_path / "cut.tst"
     save_statlog(nearly_cut_off, trn)

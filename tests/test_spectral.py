@@ -1,4 +1,4 @@
-"""Generalized and symmetric eigensolvers."""
+"""Generalized eigensolver."""
 
 import warnings
 
@@ -9,7 +9,7 @@ import scipy.sparse as sparse
 from ccdr.dataset import _indicator
 from ccdr.embedding import build_augmented
 from ccdr.graph import heat_weights, knn_graph, median_eps
-from ccdr.spectral import GAP_TOL, generalized_eig, sym_eig_desc
+from ccdr.spectral import GAP_TOL, generalized_eig
 
 
 def random_laplacian(rng, p):
@@ -169,32 +169,6 @@ def test_exclude_ones_matches_connected_tail():
     assert np.abs(tail.vectors - plain.vectors[:, 1:]).max() < 1e-7
 
 
-def test_sym_eig_desc_diagonal():
-    sol = sym_eig_desc(np.diag([1.0, 3.0, 2.0]), 2)
-    assert sol.values == pytest.approx([3.0, 2.0], abs=0.0)
-    assert np.abs(sol.vectors[:, 0]) == pytest.approx([0.0, 1.0, 0.0], abs=1e-14)
-    assert np.array_equal(sol.metric_diag, np.ones(3))
-
-
-def test_sym_eig_desc_reconstruction():
-    rng = np.random.default_rng(47)
-    A = rng.standard_normal((8, 8))
-    M = A @ A.T
-    sol = sym_eig_desc(M, 8)
-    R = sol.vectors @ np.diag(sol.values) @ sol.vectors.T
-    assert np.abs(R - M).max() < 1e-10
-    assert np.all(np.diff(sol.values) <= 1e-12)
-
-
-def test_sym_eig_desc_validation():
-    with pytest.raises(ValueError, match="M must be square"):
-        sym_eig_desc(np.ones((2, 3)), 1)
-    with pytest.raises(ValueError, match="count must satisfy 1 <= count <= 2"):
-        sym_eig_desc(np.eye(2), 3)
-    with pytest.raises(ValueError, match="M must be symmetric"):
-        sym_eig_desc(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
-
-
 def augmented_600(kind):
     """Sparse augmented Laplacian of order 600 from isotropic or clustered points."""
     rng = np.random.default_rng(48)
@@ -221,7 +195,6 @@ def test_sparse_solve_matches_dense(kind, exclude_ones):
     want = generalized_eig(aug.lap.toarray(), aug.deg, 8, exclude_ones=exclude_ones)
     assert np.abs(got.values - want.values).max() <= 1e-10
     assert np.abs(got.vectors - want.vectors).max() <= 1e-8
-    assert np.array_equal(got.metric_diag, want.metric_diag)
 
 
 def test_sparse_validation_and_full_spectrum_requests():
@@ -233,3 +206,9 @@ def test_sparse_validation_and_full_spectrum_requests():
     skew = sparse.csr_matrix(np.triu(lap))
     with pytest.raises(ValueError, match="lap must be symmetric"):
         generalized_eig(skew, deg, 2)
+
+
+def test_sparse_non_convergence_is_a_linalg_error(arpack_fails):
+    lap, deg = random_laplacian(np.random.default_rng(50), 8)
+    with pytest.raises(np.linalg.LinAlgError, match="Lanczos solve did not converge"):
+        generalized_eig(sparse.csr_matrix(lap), deg, 2)
