@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +9,7 @@ import scipy.linalg
 
 from .embedding import _spectrum
 from .graph import WeightMatrix
-from .spectral import _fix_signs, _warn_small_gaps
+from .spectral import _fix_signs, _warn_caller, _warn_small_gaps
 
 
 @dataclass(frozen=True)
@@ -105,11 +104,7 @@ def lda_fit(points: np.ndarray, labels: np.ndarray, m: int) -> LinearEmbedding:
     except scipy.linalg.LinAlgError:
         tr = float(np.trace(CW))
         ridge = 1e-6 * (tr / d if tr > 0 else 1.0)
-        warnings.warn(
-            "within-class scatter is singular; adding ridge %g" % ridge,
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        _warn_caller("within-class scatter is singular; adding ridge %g" % ridge)
         vals, vecs = scipy.linalg.eigh(CB, CW + ridge * np.eye(d))
     A = _fix_signs(vecs[:, ::-1][:, :m]).T
     return LinearEmbedding(A=A.copy(), offset=np.zeros(d))

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import _nearest
+from .spectral import _warn_caller
 
 
 def argmax_labels(scores: np.ndarray) -> np.ndarray:
@@ -58,11 +58,7 @@ def linear_fit(Y: np.ndarray, labels: np.ndarray, num_classes: int) -> LinearCla
     T[np.arange(n), labels - 1] = 1.0
     G = X.T @ X
     if np.linalg.matrix_rank(X) < m + 1:
-        warnings.warn(
-            "design matrix is rank deficient; returning a minimum-norm-like solution",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        _warn_caller("design matrix is rank deficient; returning a minimum-norm-like solution")
     ridge = 1e-10 * np.trace(G) / (m + 1)
     coef = np.linalg.solve(G + ridge * np.eye(m + 1), X.T @ T)
     return LinearClassifier(weights=coef[:m].T.copy(), bias=coef[m].copy())

@@ -44,13 +44,11 @@ class LabeledDataset:
     points : (n, d) float64, finite
     labels : (n,) int64, values in {0, .., num_classes}, 0 = unlabeled
     num_classes : int, L >= 1
-    name : str, free-form tag
     """
 
     points: np.ndarray
     labels: np.ndarray
     num_classes: int
-    name: str = ""
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -153,9 +151,7 @@ def read_points(path, remap: dict[int, int] | None = None):
     return np.asarray(rows, dtype=np.float64), np.asarray(labels, dtype=np.int64)
 
 
-def load_statlog(
-    path, remap: dict[int, int] | None = None, name: str | None = None
-) -> LabeledDataset:
+def load_statlog(path, remap: dict[int, int] | None = None) -> LabeledDataset:
     """Load a Statlog-format file (whitespace table, last column = label).
 
     The default remap is the satimage table {1..5 -> 1..5, 7 -> 6}; pass
@@ -165,9 +161,7 @@ def load_statlog(
     """
     points, labels = read_points(path, remap)
     L = int(labels.max(initial=0))
-    if name is None:
-        name = str(path)
-    return LabeledDataset(points, labels, num_classes=max(L, 1), name=name)
+    return LabeledDataset(points, labels, num_classes=max(L, 1))
 
 
 def _fmt(v: float) -> str:
@@ -219,12 +213,7 @@ def gen_circles(
         pts = pts + rng.normal(0.0, noise_sd, size=pts.shape)
         blocks.append(pts)
         labels.append(np.full(n_per_class, k, dtype=np.int64))
-    return LabeledDataset(
-        np.vstack(blocks),
-        np.concatenate(labels),
-        num_classes=len(radii),
-        name="circles(seed=%d)" % seed,
-    )
+    return LabeledDataset(np.vstack(blocks), np.concatenate(labels), num_classes=len(radii))
 
 
 def column_stats(ds: LabeledDataset):
@@ -244,4 +233,4 @@ def apply_standardize(
     no test information leaks into the fit.
     """
     pts = (ds.points - mean) / sd
-    return LabeledDataset(pts, ds.labels, ds.num_classes, name=ds.name)
+    return LabeledDataset(pts, ds.labels, ds.num_classes)

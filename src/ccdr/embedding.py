@@ -27,9 +27,6 @@ and extended by the same code.
 
 from __future__ import annotations
 
-import os
-import sys
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -40,7 +37,7 @@ from scipy.spatial.distance import cdist
 from .dataset import LabeledDataset, _indicator, class_counts
 from .graph import WeightMatrix, _check_finite, _heat_graph, kernel_rows
 from .graph import knn_graph  # noqa: F401  perfbench's tracer test patches this name
-from .spectral import EigenSolution, generalized_eig
+from .spectral import EigenSolution, _warn_caller, generalized_eig
 
 # Retained eigenvalues must stay clear of 1 for the extension denominator.
 LAMBDA_TOL = 1e-9
@@ -186,15 +183,6 @@ def _check_fit(ds: LabeledDataset, beta: float, m: int) -> None:
         raise ValueError("class %d has no labeled points" % (int(np.argmin(counts)) + 1))
 
 
-def _warn_caller(message: str) -> None:
-    """RuntimeWarning attributed to the first caller outside this package."""
-    here = os.path.dirname(__file__)
-    level, frame = 2, sys._getframe(1)
-    while frame is not None and frame.f_code.co_filename.startswith(here):
-        level, frame = level + 1, frame.f_back
-    warnings.warn(message, RuntimeWarning, stacklevel=level)
-
-
 def _spectrum(C: np.ndarray, W, beta: float, m: int) -> EigenSolution:
     """The m smallest nontrivial eigenpairs of the center-augmented graph.
 
@@ -333,14 +321,9 @@ def cost(Z: np.ndarray, Y: np.ndarray, C, W, beta: float) -> float:
     Z = np.asarray(Z, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     term1 = float((C * cdist(Z, Y, "sqeuclidean")).sum())
-    Wmat = W.matrix if isinstance(W, WeightMatrix) else np.asarray(W)
-    coo = Wmat.tocoo() if hasattr(Wmat, "tocoo") else None
-    if coo is not None:
-        diff2 = ((Y[coo.row] - Y[coo.col]) ** 2).sum(axis=1)
-        term2 = 0.5 * beta * float((coo.data * diff2).sum())
-    else:
-        term2 = 0.5 * beta * float((Wmat * cdist(Y, Y, "sqeuclidean")).sum())
-    return term1 + term2
+    coo = sparse.coo_matrix(W.matrix if isinstance(W, WeightMatrix) else W)
+    diff2 = ((Y[coo.row] - Y[coo.col]) ** 2).sum(axis=1)
+    return term1 + 0.5 * beta * float((coo.data * diff2).sum())
 
 
 def embed_oos(

@@ -149,13 +149,13 @@ def fit_pipeline(
     beta: float = 1.0,
     eps: float | None = None,
     eps_scale: float = 1.0,
-    oos: str = "nearest",
 ) -> PipelineFit:
     """Fit one embedding pipeline on the training split only.
 
     The returned transform embeds arbitrary query points without touching
-    any fitted parameter; for CCDR queries enter unlabeled (c = 0), and a
-    graph pipeline's queries take the embed_many route oos.
+    any fitted parameter; for CCDR queries enter unlabeled (c = 0). A graph
+    pipeline's transform takes the default embed_many route; detail is its
+    CcdrModel, so embed_many(pf.detail, X, 0, oos) takes any other.
     """
     if pipeline == "raw":
         return PipelineFit(train.points, lambda X: np.asarray(X, dtype=np.float64))
@@ -167,32 +167,24 @@ def fit_pipeline(
         emb = lda_fit(train.points[mask], train.labels[mask], m)
         return PipelineFit(emb.transform(train.points), emb.transform, emb)
     if pipeline in _GRAPH_PIPELINES:
-        return _fit_on_graph(
-            pipeline, train, m, graph_k, beta,
-            lambda: _heat_graph(train.points, graph_k, eps, eps_scale), oos,
-        )
+        W = _heat_graph(train.points, graph_k, eps, eps_scale)
+        model = _graph_model(pipeline, train, m, graph_k, beta, W)
+        return PipelineFit(model.embedding, lambda X: embed_many(model, X), model)
     raise ValueError("unknown pipeline %r" % pipeline)
 
 
-def _fit_on_graph(pipeline, train, m, graph_k, beta, weights, oos):
-    """Fit ccdr or lapeig on the heat weights that weights() returns.
+def _graph_model(pipeline, train, m, graph_k, beta, W):
+    """Fit ccdr or lapeig on the heat weights W.
 
     lapeig is the CCDR model with no class nodes and beta = 1, so both
-    share one solve, one model type and one extension. weights is called
-    where each pipeline has always built its graph, so errors surface in
-    the same order whether it builds or looks one up.
+    share one solve, one model type and one extension.
     """
     if pipeline == "lapeig":
-        W = weights()
         if not 1 <= m <= train.n - 1:
             raise ValueError("m must satisfy 1 <= m <= n - 1 = %d" % (train.n - 1))
-        model = _solve(train.points, np.zeros(train.n, dtype=np.int64), 0, W, graph_k, 1.0, m)
-    else:
-        _check_fit(train, beta, m)
-        model = _solve(
-            train.points, train.labels, train.num_classes, weights(), graph_k, beta, m
-        )
-    return PipelineFit(model.embedding, lambda X: embed_many(model, X, 0, oos), model)
+        return _solve(train.points, np.zeros(train.n, dtype=np.int64), 0, W, graph_k, 1.0, m)
+    _check_fit(train, beta, m)
+    return _solve(train.points, train.labels, train.num_classes, W, graph_k, beta, m)
 
 
 def _axis(values, relevant: bool, placeholder):
@@ -207,14 +199,14 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     grid key (pipeline, beta, m, graph_k) is handled in one pass: one fit,
     one embedding of the test points, then every (classifier, clf_k) row
     from that embedding, so removing one grid point never changes another
-    row. The heat weights and the test points' kernel rows depend on
-    graph_k alone, so they are built once per graph_k and shared by every
-    ccdr and lapeig key using it; the result is the same bits as building
-    them per key. With measure_wall off, wall_ms is 0 and a rerun with the
-    same config and seed emits a byte-identical CSV; with it on, each row
-    carries its key's fit and test-embedding time plus its own
-    classification time, and the first grid point that uses a graph
-    carries the graph's build time.
+    row. The heat weights and, on the "nearest" route, the test points'
+    kernel rows depend on graph_k alone: one cache entry per graph_k holds
+    them for every ccdr and lapeig key using it, with the same bits as a
+    build per key. A graph that cannot be built gives its error to every
+    such key before any argument check. With measure_wall off, wall_ms is
+    0 and a rerun emits a byte-identical CSV; with it on, each row carries
+    its key's fit and test-embedding time plus its own classification
+    time, and the first key that uses a graph carries its build time.
     """
     for p in cfg.pipelines:
         if p not in PIPELINES:
@@ -244,12 +236,9 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
 
 @dataclass
 class _Sweep:
-    """What the grid keys of one run_sweep call share.
-
-    Only graph_k's artefacts are kept between keys: graphs holds each
-    graph_k's heat weights, or the exception building them raised, and
-    test_kernels each graph_k's kernel_rows of the test points, which only
-    the "nearest" route uses.
+    """What the grid keys of one run_sweep call share: graphs holds each
+    graph_k's heat weights and the test points' kernel_rows (None off the
+    "nearest" route), or the ValueError building them raised.
     """
 
     cfg: ExperimentConfig
@@ -257,14 +246,16 @@ class _Sweep:
     test: LabeledDataset
     clock: Callable
     graphs: dict = field(default_factory=dict)
-    test_kernels: dict = field(default_factory=dict)
 
-    def weights(self, graph_k):
+    def graph(self, graph_k):
+        """(W, test kernel rows) of one graph_k, built on its first lookup."""
         if graph_k not in self.graphs:
+            cfg, train = self.cfg, self.train
             try:
-                self.graphs[graph_k] = _heat_graph(
-                    self.train.points, graph_k, self.cfg.eps, self.cfg.eps_scale
-                )
+                W = _heat_graph(train.points, graph_k, cfg.eps, cfg.eps_scale)
+                rows = (kernel_rows(self.test.points, train.points, graph_k, W.eps)
+                        if cfg.oos == "nearest" else None)
+                self.graphs[graph_k] = (W, rows)
             except ValueError as exc:
                 self.graphs[graph_k] = exc
         got = self.graphs[graph_k]
@@ -274,22 +265,14 @@ class _Sweep:
 
     def embed(self, pipeline, beta, m, graph_k):
         """Fit one grid key; return its training and test embeddings."""
-        cfg, train, test = self.cfg, self.train, self.test
         if pipeline not in _GRAPH_PIPELINES:
-            pf = fit_pipeline(pipeline, train, m=m)
-            return pf.train_embedding, pf.transform(test.points)
-        pf = _fit_on_graph(
-            pipeline, train, m, graph_k, beta, lambda: self.weights(graph_k), cfg.oos
-        )
-        if cfg.oos != "nearest":
-            return pf.train_embedding, pf.transform(test.points)
-        # pf.transform on the test points' kernel rows, cached per graph_k
-        if graph_k not in self.test_kernels:
-            self.test_kernels[graph_k] = kernel_rows(
-                test.points, train.points, graph_k, pf.detail.eps
-            )
-        unlabeled = np.zeros(test.n, dtype=np.int64)
-        return pf.train_embedding, _extend(pf.detail, self.test_kernels[graph_k], unlabeled)
+            pf = fit_pipeline(pipeline, self.train, m=m)
+            return pf.train_embedding, pf.transform(self.test.points)
+        W, rows = self.graph(graph_k)
+        model = _graph_model(pipeline, self.train, m, graph_k, beta, W)
+        if rows is None:
+            return model.embedding, embed_many(model, self.test.points, 0, self.cfg.oos)
+        return model.embedding, _extend(model, rows, np.zeros(self.test.n, dtype=np.int64))
 
     def key_rows(self, pipeline, beta, m, graph_k):
         """Every (classifier, clf_k) row of one grid key, from one fit.

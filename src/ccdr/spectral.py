@@ -12,6 +12,8 @@ largest-magnitude entry is positive (ties by lowest index).
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -57,13 +59,20 @@ def _check_symmetric(M, what: str) -> None:
         raise ValueError("%s must be symmetric" % what)
 
 
+def _warn_caller(message: str) -> None:
+    """RuntimeWarning attributed to the first caller outside this package."""
+    here = os.path.dirname(__file__)
+    level, frame = 2, sys._getframe(1)
+    while frame is not None and frame.f_code.co_filename.startswith(here):
+        level, frame = level + 1, frame.f_back
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
+
+
 def _warn_small_gaps(values: np.ndarray) -> None:
     if values.size >= 2 and np.any(np.diff(values) < GAP_TOL):
-        warnings.warn(
+        _warn_caller(
             "eigenvalue gap below %g in the selected band; "
-            "eigenvector choice is not unique" % GAP_TOL,
-            RuntimeWarning,
-            stacklevel=3,
+            "eigenvector choice is not unique" % GAP_TOL
         )
 
 

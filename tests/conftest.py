@@ -62,7 +62,7 @@ def blob30():
     pts = rng.standard_normal((30, 3))
     labels = rng.integers(1, 4, 30)
     labels[:3] = [1, 2, 3]
-    return LabeledDataset(pts, labels, 3, name="blob30")
+    return LabeledDataset(pts, labels, 3)
 
 
 @pytest.fixture()
@@ -76,7 +76,7 @@ def nearly_cut_off():
     unlabeled point 3's heat-kernel degree is 2.8e-52, so a fit at
     beta = 0.1, m = 1 fails its row identity there."""
     X = np.array([[1.872], [0.124], [-0.208], [-0.980], [-0.165], [-0.285], [-0.118], [0.088]])
-    return LabeledDataset(X, np.array([1, 1, 0, 0, 1, 1, 0, 1]), 1, name="nearly-cut-off")
+    return LabeledDataset(X, np.array([1, 1, 0, 0, 1, 1, 0, 1]), 1)
 
 
 @pytest.fixture()

@@ -3,6 +3,7 @@
 import math
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,10 +139,10 @@ def test_fit_pipeline_lda_ignores_unlabeled_points():
 
 def test_fit_pipeline_refit_transform_is_deterministic():
     train = gen_circles(20, [1.0, 2.0], 0.02, seed=5)
-    pf = fit_pipeline("ccdr", train, 2, graph_k=4, beta=0.05, oos="refit")
+    pf = fit_pipeline("ccdr", train, 2, graph_k=4, beta=0.05)
     q = np.array([[0.5, 0.5], [-1.2, 0.3]])
-    a = pf.transform(q)
-    b = pf.transform(q)
+    a = embed_many(pf.detail, q, 0, "refit")
+    b = embed_many(pf.detail, q, 0, "refit")
     assert np.array_equal(a, b)
     assert a.shape == (2, 2) and np.all(np.isfinite(a))
 
@@ -164,13 +165,14 @@ def test_lapeig_is_ccdr_with_no_class_nodes():
 def test_lapeig_honours_the_oos_flags():
     train = gen_circles(20, [1.0, 2.0], 0.02, seed=5)
     q = np.array([[0.5, 0.5], [-1.2, 0.3], [3.0, 0.0]])
-    full = fit_pipeline("lapeig", train, 2, graph_k=4, oos="full")
-    assert np.array_equal(full.transform(q), embed_many(full.detail, q, 0, "full"))
-    refit = fit_pipeline("lapeig", train, 2, graph_k=4, oos="refit")
-    want = embed_many(refit.detail, q, 0, "refit")
-    assert np.array_equal(refit.transform(q), want)
-    plain = fit_pipeline("lapeig", train, 2, graph_k=4)
-    assert not np.array_equal(plain.transform(q[:2]), full.transform(q[:2]))
+    pf = fit_pipeline("lapeig", train, 2, graph_k=4)
+    full = embed_many(pf.detail, q, 0, "full")
+    refit = embed_many(pf.detail, q, 0, "refit")
+    assert full.shape == refit.shape == (3, 2)
+    assert np.all(np.isfinite(full)) and np.all(np.isfinite(refit))
+    assert np.array_equal(pf.transform(q[:2]), embed_many(pf.detail, q[:2], 0, "nearest"))
+    assert not np.array_equal(pf.transform(q[:2]), full[:2])
+    assert not np.array_equal(full, refit)
 
 
 def test_lapeig_eigenvalue_reaching_one_names_only_m():
@@ -361,9 +363,9 @@ def test_run_sweep_rows_equal_the_uncached_path(circle_files, monkeypatch):
             for beta in cfg.betas if pipeline == "ccdr" else (0.0,):
                 for m in cfg.ms:
                     for graph_k in cfg.graph_ks:
-                        pf = fit_pipeline(pipeline, train, m, graph_k, beta, oos=oos)
+                        pf = fit_pipeline(pipeline, train, m, graph_k, beta)
                         fits[pipeline, beta, m, graph_k] = (
-                            pf.train_embedding, pf.transform(test.points))
+                            pf.train_embedding, embed_many(pf.detail, test.points, 0, oos))
         assert len(seen) == len(fits)
         for (train_Y, Q), (Y, Yq) in zip(seen, fits.values()):
             assert np.array_equal(train_Y, Y[lab]) and np.array_equal(Q, Yq)
@@ -389,6 +391,39 @@ def test_run_sweep_failed_graph_repeats_its_note(circle_files, monkeypatch):
     assert all(math.isnan(r.error) for r in bad)
     assert all(r.note == "" and np.isfinite(r.error) for r in good)
     assert sorted(calls) == [4, 500]
+
+
+def test_run_sweep_graph_error_comes_before_argument_errors(circle_files):
+    # graph_k = 500 >= n and m = 200 > L + n - 1: both graph pipelines name the graph
+    rows = run_sweep(replace(_graph_grid(*circle_files, graph_ks=(500,)), ms=(200,))).rows
+    assert {r.pipeline for r in rows} == {"ccdr", "lapeig"}
+    assert {r.note for r in rows} == {"k must satisfy 1 <= k <= n - 1, got k=500, n=80"}
+
+
+def test_warnings_name_the_callers_line(tmp_path):
+    ang = np.arange(8) * np.pi / 4
+    ring = LabeledDataset(np.column_stack([np.cos(ang), np.sin(ang)]), np.ones(8), 1)
+    cross = LabeledDataset(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                           np.ones(4), 1)
+    line = tmp_path / "line.trn"
+    save_statlog(LabeledDataset(np.column_stack([np.arange(8.0), np.zeros(8)]),
+                                np.repeat([1, 2], 4), 2), line)
+    cfg = ExperimentConfig(
+        train_path=str(line), test_path=str(line), remap={1: 1, 2: 2},
+        pipelines=("lda",), classifiers=("linear",), ms=(2,), measure_wall=False,
+    )
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        fit(ring, k=2, m=2)
+        fit_pipeline("lapeig", ring, 2, graph_k=2)
+        fit_pipeline("pca", cross, 2)
+        run_sweep(cfg)
+    messages = [str(w.message) for w in record]
+    assert sum("gap below" in msg for msg in messages) == 3
+    assert any("within-class scatter is singular" in msg for msg in messages)
+    assert any("rank deficient" in msg for msg in messages)
+    assert all(w.category is RuntimeWarning for w in record)
+    assert {w.filename for w in record} == {__file__}
 
 
 def test_duplicate_points_need_an_explicit_eps():
