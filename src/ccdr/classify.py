@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .graph import _nearest
+from .graph import _nearest, _TrainIndex
 from .spectral import _warn_caller
 
 
@@ -65,13 +66,15 @@ def linear_fit(Y: np.ndarray, labels: np.ndarray, num_classes: int) -> LinearCla
 
 
 def sorted_neighbor_labels(
-    train_Y: np.ndarray, train_labels: np.ndarray, Q: np.ndarray, k_max: int
+    train_Y: np.ndarray, train_labels: np.ndarray, Q: np.ndarray, k_max: int,
+    _index=None,
 ) -> np.ndarray:
     """Labels of each query's k_max nearest training points, nearest first.
 
     Distance ties are broken by ascending training index, the same rule and
     the same neighbour search the graph construction uses. Non-finite
-    queries are an error.
+    queries are an error. _index, the search's _TrainIndex of train_Y, is
+    built per call when None.
     """
     train_Y = np.asarray(train_Y, dtype=np.float64)
     train_labels = np.asarray(train_labels, dtype=np.int64)
@@ -79,7 +82,7 @@ def sorted_neighbor_labels(
     n = train_Y.shape[0]
     if not 1 <= k_max <= n:
         raise ValueError("k must satisfy 1 <= k <= n = %d" % n)
-    return train_labels[_nearest(Q, train_Y, k_max)[0]]
+    return train_labels[_nearest(Q, _index or _TrainIndex(train_Y), k_max)[0]]
 
 
 def vote(nbr_labels: np.ndarray, k: int, num_classes: int) -> np.ndarray:
@@ -98,7 +101,11 @@ def vote(nbr_labels: np.ndarray, k: int, num_classes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KnnClassifier:
-    """k-nearest-neighbour majority vote in the embedded space."""
+    """k-nearest-neighbour majority vote in the embedded space.
+
+    Keeps read-only copies of train_Y (float64) and train_labels (int64),
+    so the neighbour index built on the first predict stays valid.
+    """
 
     train_Y: np.ndarray
     train_labels: np.ndarray
@@ -106,14 +113,27 @@ class KnnClassifier:
     num_classes: int
 
     def __post_init__(self):
-        labels = np.asarray(self.train_labels, dtype=np.int64)
+        Y = np.array(self.train_Y, dtype=np.float64)
+        labels = np.array(self.train_labels, dtype=np.int64)
+        if Y.ndim != 2 or not np.isfinite(Y).all():
+            raise ValueError("train_Y must be an n x m matrix of finite values")
+        n = Y.shape[0]
+        if labels.shape != (n,):
+            raise ValueError("train_labels must hold one label per row of train_Y (%d)" % n)
         if np.any(labels < 1) or np.any(labels > self.num_classes):
             raise ValueError("training labels must lie in {1, .., %d}" % self.num_classes)
-        n = np.asarray(self.train_Y).shape[0]
         if not 1 <= self.k <= n:
             raise ValueError("k must satisfy 1 <= k <= n = %d" % n)
+        Y.flags.writeable = labels.flags.writeable = False
+        object.__setattr__(self, "train_Y", Y)
+        object.__setattr__(self, "train_labels", labels)
+
+    @cached_property
+    def _index(self) -> _TrainIndex:
+        return _TrainIndex(self.train_Y)
 
     def predict(self, Y: np.ndarray) -> np.ndarray:
-        nbr = sorted_neighbor_labels(self.train_Y, self.train_labels, Y, self.k)
+        nbr = sorted_neighbor_labels(
+            self.train_Y, self.train_labels, Y, self.k, _index=self._index
+        )
         return vote(nbr, self.k, self.num_classes)
-

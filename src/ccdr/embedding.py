@@ -28,6 +28,7 @@ and extended by the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -35,7 +36,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
 from .dataset import LabeledDataset, _indicator, class_counts
-from .graph import WeightMatrix, _check_finite, _heat_graph, kernel_rows
+from .graph import WeightMatrix, _TrainIndex, _check_finite, _heat_graph, kernel_rows
 from .graph import knn_graph  # noqa: F401  perfbench's tracer test patches this name
 from .spectral import EigenSolution, _warn_caller, generalized_eig
 
@@ -75,7 +76,10 @@ class CcdrModel:
 
     centers has shape (L, m) with row k the center of class k + 1; embedding
     has shape (n, m) with row i the coordinates of training point i;
-    eigenvalues holds lambda_2 .. lambda_{m+1} in ascending order.
+    eigenvalues holds lambda_2 .. lambda_{m+1} in ascending order. The
+    package's constructors (fit, shrink, load_model) make every array
+    read-only: the neighbour index built on the first embed_many reads
+    train_points, which must not change after it.
     """
 
     centers: np.ndarray
@@ -97,6 +101,18 @@ class CcdrModel:
     @property
     def d(self) -> int:
         return self.train_points.shape[1]
+
+    @cached_property
+    def _index(self) -> _TrainIndex:
+        return _TrainIndex(self.train_points)
+
+
+def _read_only_model(**values) -> CcdrModel:
+    """A CcdrModel of these field values, its arrays made read-only."""
+    for v in values.values():
+        if isinstance(v, np.ndarray):
+            v.flags.writeable = False
+    return CcdrModel(**values)
 
 
 def build_augmented(C, W, beta: float) -> AugmentedLaplacian:
@@ -232,7 +248,7 @@ def _solve(
             % (float(lam.max()), " or increase beta" if L else "")
         )
     U = sol.vectors
-    model = CcdrModel(
+    model = _read_only_model(
         centers=np.ascontiguousarray(U[:L].copy()),
         embedding=np.ascontiguousarray(U[L:].copy()),
         eigenvalues=lam,
@@ -390,7 +406,8 @@ def embed_many(
         raise ValueError("labels must lie in {0, .., %d}" % model.num_classes)
     cs = cs.astype(np.int64)
     if oos == "nearest":
-        return _extend(model, kernel_rows(X, model.train_points, model.k, model.eps), cs)
+        K = kernel_rows(X, model.train_points, model.k, model.eps, _index=model._index)
+        return _extend(model, K, cs)
     _check_finite(X)
     if oos == "full":
         return _extend(model, np.exp(-cdist(X, model.train_points, "sqeuclidean") / model.eps), cs)
@@ -453,7 +470,7 @@ def shrink(model: CcdrModel, m: int) -> CcdrModel:
     """
     if not 1 <= m <= model.m:
         raise ValueError("m must satisfy 1 <= m <= %d" % model.m)
-    return CcdrModel(
+    return _read_only_model(
         centers=model.centers[:, :m].copy(),
         embedding=model.embedding[:, :m].copy(),
         eigenvalues=model.eigenvalues[:m].copy(),
@@ -491,4 +508,4 @@ def load_model(path) -> CcdrModel:
                 % (version, MODEL_FORMAT_VERSION)
             )
         entries = {f.name: z[f.name] for f in fields(CcdrModel)}
-    return CcdrModel(**{k: v.item() if v.ndim == 0 else v for k, v in entries.items()})
+    return _read_only_model(**{k: v.item() if v.ndim == 0 else v for k, v in entries.items()})

@@ -14,20 +14,27 @@ from scipy.sparse import csr_matrix
 from scipy.spatial.distance import cdist
 
 # Query rows per _nearest block are sized so one block holds about this
-# many distances (2 MiB of float64), never the full q x n matrix.
-_BLOCK_ENTRIES = 1 << 18
+# many distances (8 MiB of float64), never the full q x n matrix. At
+# n = 4435 that is 236 rows, a GEMM large enough to run near full speed:
+# on 2 vCPUs, embed_many + predict over 2000 queries in batches of 250 took
+# 88-95 ms at 2^18, 72-77 ms at 2^19 and 65-70 ms at 2^20.
+_BLOCK_ENTRIES = 1 << 20
 
 # Calls with fewer query-training pairs (q * n) than this compute every
 # block with cdist; larger calls screen each block with one GEMM first. On
 # a (q, n, d) grid with each call after non-BLAS work, as in a sweep, the
 # screen was faster in every cell from q * n = 2^20 up and lost in some
-# below it, most at small d (see CHANGES.md for the table).
+# below it, most at small d. Re-measured at the 2^20 block it won every
+# cell from 2^19 up but one d = 2 cell at 2^20 in one of two runs (ratio
+# 1.02), so the constant stays (CHANGES.md has the tables).
 _SCREEN_MIN_PAIRS = 1 << 20
 
 # Each row's k-th value is bounded from the minima of g = max(_GROUPS, 4k)
-# column groups (_kth_upper). At n = 4435, d = 36, k = 4 on 2 vCPUs,
-# knn_graph took 110-128 ms with 32 groups, 94-121 ms with 64 and 99-114 ms
-# with 128 (five runs each).
+# column groups (_kth_upper), and the screen scans only the groups whose
+# minimum is at or below the row's threshold (_at_or_below). At n = 4435,
+# k = 4 on 2 vCPUs (medians of seven runs), knn_graph took 73, 69 and 68 ms
+# with 64, 128 and 256 groups, and the 2000-query pass above 68, 63 and
+# 66 ms: no count stands out from the runs' spread.
 _GROUPS = 64
 
 
@@ -69,8 +76,31 @@ def _gamma(m: int) -> float:
     return m * _U / (1 - m * _U)
 
 
+class _TrainIndex:
+    """The training side of the neighbour search on the rows of X: the mean
+    mu, the augmented rows [-2 xc, ||xc||^2] of xc = fl(x - mu), a bound on
+    max ||xc||^2 and a column-major copy of X. Every route reads X through
+    it, so X must not change while the index is in use; a fitted model and
+    a KnnClassifier build one each, on read-only arrays, and reuse it.
+    """
+
+    def __init__(self, X: np.ndarray):
+        n, d = X.shape
+        self.X = X
+        self.mu = X.mean(axis=0)
+        self.Xa = np.empty((n, d + 1))
+        xc = self.Xa[:, :d]
+        np.subtract(X, self.mu, out=xc)
+        self.Xa[:, d] = np.einsum("ij,ij->i", xc, xc)
+        xc *= -2.0  # exact: a power-of-two scaling
+        self.b_up = (self.Xa[:, d].max() + d * _ETA) / (1.0 - _gamma(d))
+        # column-major copy for the refine's one-coordinate gathers
+        self.XT = np.ascontiguousarray(X.T)
+
+
 class _Screen:
-    """Certified GEMM screen for the k nearest rows of X, one block at a time.
+    """Certified GEMM screen of queries Q against a _TrainIndex, one block
+    of query rows at a time.
 
     On points centred on the training mean, one BLAS product per block gives
     S_ij = qc_i . (-2 xc_j) + ||xc_j||^2, so that S_ij + ||qc_i||^2
@@ -115,34 +145,32 @@ class _Screen:
     floats with fewer than 32 roundings, so the computed margin times
     1 + 64u, rounded once more, is an upper bound; u_i + margin is rounded
     to nearest and stepped one float up, an upper bound too.
+    Scan: the columns before the last whole group are split into groups
+    (_kth_upper), and a column with S_ij <= T_i lies in a group whose
+    minimum is at most S_ij, so at most T_i. Comparing the columns of those
+    groups and every column after the last whole group therefore finds
+    every column with S_ij <= T_i, and no other (_at_or_below).
     Nothing overflows while 8 N_i is finite: every partial sum of the
     product and every |S_ij| is at most 2 N_i + E_i, and T_i at most 4 N_i.
     A block where 8 N_i is not finite takes the exact path.
     """
 
-    def __init__(self, Q: np.ndarray, X: np.ndarray):
-        (n, d), q = X.shape, Q.shape[0]
-        mu = X.mean(axis=0)
-        # [qc, 1] and [-2 xc, ||xc||^2]: one product gives S, ||xc||^2 included
+    def __init__(self, Q: np.ndarray, index: _TrainIndex):
+        (q, d), n = Q.shape, index.X.shape[0]
+        self.index = index
+        # [qc, 1] against [-2 xc, ||xc||^2]: one product gives S, ||xc||^2 included
         self.Qa = np.empty((q, d + 1))
-        self.Xa = np.empty((n, d + 1))
-        qc, xc = self.Qa[:, :d], self.Xa[:, :d]
-        np.subtract(Q, mu, out=qc)
-        np.subtract(X, mu, out=xc)
+        qc = self.Qa[:, :d]
+        np.subtract(Q, index.mu, out=qc)
         self.Qa[:, d] = 1.0
-        self.Xa[:, d] = np.einsum("ij,ij->i", xc, xc)
-        xc *= -2.0  # exact: a power-of-two scaling
-        up = 1.0 / (1.0 - _gamma(d))
-        self.a_up = (np.einsum("ij,ij->i", qc, qc) + d * _ETA) * up
-        n_up = self.a_up + (self.Xa[:, d].max() + d * _ETA) * up
+        self.a_up = (np.einsum("ij,ij->i", qc, qc) + d * _ETA) / (1.0 - _gamma(d))
+        n_up = self.a_up + index.b_up
         self.err = 4.0 * _gamma(d + 5) * n_up + 3.0 * d * _ETA
         self.finite = np.isfinite(8.0 * n_up)
         g = _gamma(d + 2)
         self.r1 = 2.0 * g / (1.0 - g)  # r - 1
         self.tail = 2.0 * d * _ETA / (1.0 - g)
-        # column-major copies for the refine's one-coordinate gathers
         self.QT = np.ascontiguousarray(Q.T)
-        self.XT = np.ascontiguousarray(X.T)
         # the screen, reused by every block
         step = max(1, _BLOCK_ENTRIES // n)
         self.S = np.empty((min(step, q), n))
@@ -153,41 +181,64 @@ class _Screen:
         block takes the exact path."""
         if not self.finite[s:e].all():
             return None
-        b, n = e - s, self.Xa.shape[0]
-        S = np.matmul(self.Qa[s:e], self.Xa.T, out=self.S[:b])
+        b, n = e - s, self.S.shape[1]
+        S = np.matmul(self.Qa[s:e], self.index.Xa.T, out=self.S[:b])
         if skip_self:
             S[np.arange(b), np.arange(s, e)] = np.inf
-        u = _kth_upper(S, k)
+        u, mins = _kth_upper(S, k)
         a_up, err = self.a_up[s:e], self.err[s:e]
         margin = self.r1 * (np.abs(u) + a_up + err) + 2.0 * err + self.tail
         margin *= 1.0 + 64 * _U
         T = np.nextafter(u + margin, np.inf)
         if not np.isfinite(T).all():
             return None
-        keep = S <= T[:, None]
+        flat = _at_or_below(S, mins, T)
         # each candidate holds five 8-byte words (row, column, sum and two
         # gathered coordinates); the cap keeps them under a block's memory
-        if np.count_nonzero(keep) > _BLOCK_ENTRIES // 8:
+        if flat.size > _BLOCK_ENTRIES // 8:
             return None
-        flat = np.flatnonzero(keep)
-        return flat, _sq_dists(self.QT, self.XT, flat // n + s, flat % n)
+        return flat, _sq_dists(self.QT, self.index.XT, flat // n + s, flat % n)
 
 
-def _kth_upper(S: np.ndarray, k: int) -> np.ndarray:
+def _kth_upper(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row of S, a value at or above its k-th smallest entry that k
-    entries of the row are at or below.
+    entries of the row are at or below, and the column-group minima it is
+    taken from, a (b, g) array.
 
-    Column j is in group j mod g, g = max(_GROUPS, 4k); the k-th smallest
-    of the group minima over the first w * g columns, w = n // g, is the
-    value of k distinct columns. When w < 2 it is the exact k-th value.
+    Column j is in group j mod g, g = max(_GROUPS, 4k), for the first
+    w * g columns, w = n // g; the k-th smallest of the group minima is the
+    value of k distinct columns. When n < 2g every column is its own group,
+    the minima are S itself, and the value is the row's exact k-th
+    smallest. A NaN entry never lowers a group's minimum.
     """
     b, n = S.shape
     g = max(_GROUPS, 4 * k)
+    if n < 2 * g:
+        mins = S  # one column per group: no copy of the block
+    else:
+        mins = np.fmin.reduce(S[:, : n // g * g].reshape(b, n // g, g), axis=1)
+    return np.partition(mins, k - 1, axis=1)[:, k - 1], mins
+
+
+def _at_or_below(S: np.ndarray, mins: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Flat indices, ascending, of the entries of S at or below their row's T.
+
+    mins are _kth_upper's column-group minima of S. A column at or below T_i
+    lies in a group whose minimum is at or below T_i, so only the columns of
+    those groups and the columns after the last whole group are compared;
+    the gathered columns hold at most one block of S.
+    """
+    b, n = S.shape
+    g = mins.shape[1]
     w = n // g
-    if w < 2:
-        return np.partition(S, k - 1, axis=1)[:, k - 1]
-    mins = np.minimum.reduce(S[:, : w * g].reshape(b, w, g), axis=1)
-    return np.partition(mins, k - 1, axis=1)[:, k - 1]
+    rows, groups = np.nonzero(mins <= T[:, None])
+    # (pairs, w): row i's columns t * g + c of each of its candidate groups c
+    V = S[:, : w * g].reshape(b, w, g)[rows, :, groups]
+    p, t = np.nonzero(V <= T[rows, None])
+    r, c = np.nonzero(S[:, w * g :] <= T[:, None])
+    flat = np.concatenate([rows[p] * n + t * g + groups[p], r * n + (w * g + c)])
+    flat.sort()
+    return flat
 
 
 def _sq_dists(QT: np.ndarray, XT: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -217,9 +268,9 @@ def _check_finite(Q: np.ndarray) -> None:
 
 
 def _nearest(
-    Q: np.ndarray, X: np.ndarray, k: int, skip_self: bool = False
+    Q: np.ndarray, index: _TrainIndex, k: int, skip_self: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each query's k nearest rows of X, ordered by (distance, index).
+    """Each query's k nearest rows of the indexed X, ordered by (distance, index).
 
     Returns (q, k) indices and their cdist squared distances, the one
     formula every graph and kernel weight is computed from. Query rows go
@@ -235,6 +286,7 @@ def _nearest(
     i of X and is not its own neighbour. Non-finite queries and a query
     dimension other than X's are errors.
     """
+    X = index.X
     if Q.shape[1] != X.shape[1]:
         raise ValueError(
             "queries have %d coordinates but the training points have %d"
@@ -245,7 +297,7 @@ def _nearest(
     idx = np.empty((q, k), dtype=np.int64)
     dist = np.empty((q, k))
     step = max(1, _BLOCK_ENTRIES // n)
-    screen = _Screen(Q, X) if q * n >= _SCREEN_MIN_PAIRS else None
+    screen = _Screen(Q, index) if q * n >= _SCREEN_MIN_PAIRS else None
     for s in range(0, q, step):
         e = min(q, s + step)
         found = screen.candidates(s, e, k, skip_self) if screen else None
@@ -253,7 +305,9 @@ def _nearest(
             d2 = cdist(Q[s:e], X, "sqeuclidean")
             if skip_self:
                 d2[np.arange(e - s), np.arange(s, e)] = np.inf
-            flat = np.flatnonzero(d2 <= _kth_upper(d2, k)[:, None])
+            # a full compare: on the one-row blocks of single queries it is
+            # cheaper than _at_or_below's fixed cost of a dozen small calls
+            flat = np.flatnonzero(d2 <= _kth_upper(d2, k)[0][:, None])
             found = flat, d2.ravel()[flat]
         idx[s:e], dist[s:e] = _first_k(*found, e - s, n, k)
     return idx, dist
@@ -289,7 +343,7 @@ def knn_graph(points: np.ndarray, k: int) -> NeighborGraph:
     n = points.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError("k must satisfy 1 <= k <= n - 1, got k=%d, n=%d" % (k, n))
-    nbrs, d2 = _nearest(points, points, k, skip_self=True)
+    nbrs, d2 = _nearest(points, _TrainIndex(points), k, skip_self=True)
     bad = np.flatnonzero(~np.isfinite(d2).all(axis=1))
     if bad.size:
         raise ValueError(
@@ -366,14 +420,15 @@ def _heat_graph(
 
 
 def kernel_rows(
-    X: np.ndarray, train_points: np.ndarray, k: int, eps: float
+    X: np.ndarray, train_points: np.ndarray, k: int, eps: float, _index=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Heat-kernel weights from each query to its k nearest training points.
 
     Returns (nbrs, w), both (q, k): nbrs[i] indexes the k nearest training
     points to x_i, nearest first (ties by ascending index), and
     w[i, t] = exp(-||x_i - x_nbrs[i, t]||^2 / eps). Every other training
-    point has weight 0. Non-finite queries are an error.
+    point has weight 0. Non-finite queries are an error. _index, the
+    search's _TrainIndex of train_points, is built per call when None.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -384,6 +439,5 @@ def kernel_rows(
     n = train_points.shape[0]
     if not 1 <= k < n:
         raise ValueError("k must satisfy 1 <= k <= n - 1, got k=%d, n=%d" % (k, n))
-    nbrs, d2 = _nearest(X, train_points, k)
+    nbrs, d2 = _nearest(X, _index or _TrainIndex(train_points), k)
     return nbrs, np.exp(-d2 / eps)
-

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ccdr import graph
+from ccdr import classify, graph
 from ccdr.classify import (
     KnnClassifier,
     argmax_labels,
@@ -169,6 +169,42 @@ def test_knn_validation():
         KnnClassifier(train, np.array([1, 3]), 1, 2)
     with pytest.raises(ValueError, match="k must satisfy 1 <= k <= n = 2"):
         KnnClassifier(train, np.array([1, 2]), 3, 2)
+
+
+def test_knn_rejects_malformed_training_data():
+    train, labels = np.arange(8.0).reshape(4, 2), np.array([1, 1, 2, 2])
+    for Y in (np.arange(4.0), np.zeros((4, 1, 2))):
+        with pytest.raises(ValueError, match="train_Y must be an n x m matrix of finite"):
+            KnnClassifier(Y, labels, 1, 2)
+    for bad in (np.nan, np.inf):
+        Y = train.copy()
+        Y[2, 1] = bad
+        with pytest.raises(ValueError, match="train_Y must be an n x m matrix of finite"):
+            KnnClassifier(Y, labels, 1, 2)
+    for wrong in (labels[:3], np.append(labels, 1), labels[:, None]):
+        with pytest.raises(ValueError, match=r"one label per row of train_Y \(4\)"):
+            KnnClassifier(train, wrong, 1, 2)
+
+
+def test_knn_keeps_read_only_copies_and_builds_its_index_once():
+    rng = np.random.default_rng(61)
+    train = rng.standard_normal((60, 3))
+    labels = rng.integers(1, 3, 60)
+    Q = rng.standard_normal((30, 3))
+    want = KnnClassifier(train.copy(), labels.copy(), 4, 2).predict(Q)
+    clf = KnnClassifier(train, labels, 4, 2)
+    train[:] = 0.0  # the caller's arrays may change; the classifier's do not
+    labels[:] = 1
+    for a in (clf.train_Y, clf.train_labels):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    with mock.patch.object(classify, "_TrainIndex", wraps=classify._TrainIndex) as built, \
+            mock.patch.object(graph, "_TrainIndex", wraps=graph._TrainIndex) as per_call:
+        for route in ROUTES:
+            with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+                for _ in range(2):
+                    assert np.array_equal(clf.predict(Q), want)
+    assert built.call_count == 1 and per_call.call_count == 0
 
 
 def test_knn_predict_rejects_non_finite_queries():

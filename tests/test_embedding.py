@@ -12,7 +12,7 @@ import scipy.sparse as sparse
 from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
-from ccdr import graph
+from ccdr import embedding, graph
 from ccdr.dataset import LabeledDataset, _indicator, gen_circles
 from ccdr.embedding import (
     DENSE_MAX_ORDER,
@@ -419,6 +419,43 @@ def test_model_round_trip(tmp_path, blob30):
     # a reloaded model keeps working
     x = np.zeros(3)
     assert np.array_equal(embed_oos(back, x, 1), embed_oos(model, x, 1))
+
+
+# graph._SCREEN_MIN_PAIRS values: every call screened, then every call exact
+ROUTES = (0, 1 << 62)
+
+
+def test_fitted_models_are_read_only_with_unchanged_fields(tmp_path, blob30):
+    model = fit(blob30, k=5, eps=None, beta=0.8, m=2)
+    assert [f.name for f in dataclasses.fields(CcdrModel)] == [
+        "centers", "embedding", "eigenvalues", "beta", "eps", "k", "m",
+        "train_points", "train_labels", "num_classes", "class_sizes",
+    ]
+    save_model(model, tmp_path / "model.npz")
+    back = load_model(tmp_path / "model.npz")
+    Q = np.random.default_rng(41).standard_normal((50, 3))
+    for route in ROUTES:
+        with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+            assert np.array_equal(embed_many(back, Q), embed_many(model, Q))
+    for m in (model, back, shrink(model, 1)):
+        for f in dataclasses.fields(CcdrModel):
+            v = getattr(m, f.name)
+            assert not isinstance(v, np.ndarray) or not v.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            m.train_points[0, 0] = 1.0
+
+
+def test_embed_many_builds_the_training_index_once(blob30):
+    model = fit(blob30, k=5, eps=None, beta=0.8, m=2)
+    Q = np.random.default_rng(43).standard_normal((50, 3))
+    with mock.patch.object(embedding, "_TrainIndex", wraps=graph._TrainIndex) as built, \
+            mock.patch.object(graph, "_TrainIndex", wraps=graph._TrainIndex) as per_call:
+        rows = []
+        for route in ROUTES:
+            with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+                rows += [embed_many(model, Q), embed_many(model, Q[:7], 2)]
+    assert built.call_count == 1 and per_call.call_count == 0
+    assert np.array_equal(rows[0], rows[2]) and np.array_equal(rows[1], rows[3])
 
 
 def test_load_model_reads_the_v1_layout(tmp_path, blob30):

@@ -276,7 +276,7 @@ def assert_nearest_follows_the_full_sort(X, Q, k):
             with mock.patch.object(graph, "_BLOCK_ENTRIES", block), \
                     mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
                 for skip_self, queries in ((False, Q), (True, X)):
-                    idx, d2 = graph._nearest(queries, X, k, skip_self=skip_self)
+                    idx, d2 = graph._nearest(queries, graph._TrainIndex(X), k, skip_self=skip_self)
                     want_idx, want_d2 = full_sort_neighbors(queries, X, k, skip_self)
                     assert np.array_equal(idx, want_idx)
                     assert np.array_equal(d2, want_d2)
@@ -325,10 +325,12 @@ def test_kth_upper_bounds_each_rows_kth_value(n):
         S[1, : n - 1] = np.inf
         S[2] = -np.arange(n, dtype=float)  # the k smallest in the last columns
         kth = np.partition(S, k - 1, axis=1)[:, k - 1]
-        u = graph._kth_upper(S, k)
+        u, mins = graph._kth_upper(S, k)
         assert u.shape == (40,)
         assert np.all(u >= kth)
         assert np.all(np.count_nonzero(S <= u[:, None], axis=1) >= k)
+        # the group-pruned scan finds every entry at or below the bound
+        assert np.array_equal(graph._at_or_below(S, mins, u), np.flatnonzero(S <= u[:, None]))
         if n < 2 * max(g, 4 * k):
             assert np.array_equal(u, kth)
 
@@ -407,8 +409,48 @@ def screened_nearest(Q, X, k, skip_self=False):
     block fell back to the exact cdist path."""
     with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", 0), \
             mock.patch.object(graph, "cdist", wraps=cdist) as spy:
-        idx, d2 = graph._nearest(Q, X, k, skip_self=skip_self)
+        idx, d2 = graph._nearest(Q, graph._TrainIndex(X), k, skip_self=skip_self)
     return idx, d2, spy.called
+
+
+@st.composite
+def scan_problem(draw):
+    """n from 2g to 6g and not a multiple of g = graph._GROUPS, so rows are
+    scanned by whole groups plus tail columns; integer grids (ties) or
+    Gaussian points at mixed scales, with duplicate rows; k up to n - 1,
+    where 4k > n / 2 makes every column its own group. Some queries copy
+    training points."""
+    g = graph._GROUPS
+    n = draw(st.integers(2 * g, 6 * g).filter(lambda v: v % g))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        X = rng.integers(0, 3, (n, d)).astype(float)
+    else:
+        scale = 10.0 ** draw(st.integers(-3, 3))
+        X = rng.standard_normal((n, d)) * scale + draw(st.sampled_from([0.0, 1e3]))
+    X[rng.integers(0, n, n // 4)] = X[rng.integers(0, n, n // 4)]
+    Q = np.vstack([rng.standard_normal((draw(st.integers(1, 10)), d)) * X.std(),
+                   X[rng.integers(0, n, 5)]])
+    return X, Q, draw(st.one_of(st.integers(1, 8), st.integers(1, n - 1)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(scan_problem())
+def test_group_pruned_scan_follows_the_full_sort(problem):
+    # both routes, in blocks of five query rows and in one block, against
+    # cdist plus a full stable sort
+    X, Q, k = problem
+    index = graph._TrainIndex(X)
+    for route in ROUTES:
+        for block in (5 * X.shape[0], graph._BLOCK_ENTRIES):
+            with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route), \
+                    mock.patch.object(graph, "_BLOCK_ENTRIES", block):
+                for skip_self, queries in ((False, Q), (True, X)):
+                    idx, d2 = graph._nearest(queries, index, k, skip_self=skip_self)
+                    want_idx, want_d2 = cdist_sort_neighbors(queries, X, k, skip_self)
+                    assert np.array_equal(idx, want_idx)
+                    assert np.array_equal(d2, want_d2)
 
 
 def _adversarial(case):
@@ -513,7 +555,7 @@ def test_cdist_search_holds_one_block_of_distances():
     Q = rng.standard_normal((250, 5))
     tracemalloc.start()
     try:
-        idx, d2 = graph._nearest(Q, X, 5)
+        idx, d2 = graph._nearest(Q, graph._TrainIndex(X), 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -346,9 +346,9 @@ def test_run_sweep_rows_equal_the_uncached_path(circle_files, monkeypatch):
     seen = []
     real = ccdr.classify.sorted_neighbor_labels
 
-    def recorded(train_Y, train_labels, Q, k_max):
+    def recorded(train_Y, train_labels, Q, k_max, **kwargs):
         seen.append((train_Y, Q))
-        return real(train_Y, train_labels, Q, k_max)
+        return real(train_Y, train_labels, Q, k_max, **kwargs)
 
     monkeypatch.setattr(ccdr.classify, "sorted_neighbor_labels", recorded)
     # on every oos route, compared with fitting each grid point on its own
