@@ -41,7 +41,6 @@ from .embedding import (
 from .baselines import (
     LinearEmbedding,
     pca_fit,
-    pca_energy_dim,
     lda_fit,
     laplacian_eigenmap,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "load_model",
     "LinearEmbedding",
     "pca_fit",
-    "pca_energy_dim",
     "lda_fit",
     "laplacian_eigenmap",
     "LinearClassifier",

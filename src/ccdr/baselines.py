@@ -50,21 +50,6 @@ def pca_fit(points: np.ndarray, m: int) -> LinearEmbedding:
     return LinearEmbedding(A=A.copy(), offset=mean)
 
 
-def pca_energy_dim(points: np.ndarray, frac: float) -> int:
-    """Smallest m whose top-m covariance eigenvalues hold >= frac of the energy."""
-    if not 0 < frac <= 1:
-        raise ValueError("frac must lie in (0, 1]")
-    X = np.asarray(points, dtype=np.float64)
-    Xc = X - X.mean(axis=0)
-    vals = np.linalg.eigvalsh((Xc.T @ Xc) / X.shape[0])[::-1]
-    vals = np.clip(vals, 0.0, None)
-    total = vals.sum()
-    if total <= 0:
-        raise ValueError("covariance has no energy (all points identical)")
-    cum = np.cumsum(vals) / total
-    return int(np.searchsorted(cum, frac - 1e-12) + 1)
-
-
 def lda_fit(points: np.ndarray, labels: np.ndarray, m: int) -> LinearEmbedding:
     """Fisher discriminant directions: top-m generalized eigenvectors of
     the between-class scatter against the within-class scatter.

@@ -73,8 +73,8 @@ def sorted_neighbor_labels(
 
     Distance ties are broken by ascending training index, the same rule and
     the same neighbour search the graph construction uses. Non-finite
-    queries are an error. _index, the search's _TrainIndex of train_Y, is
-    built per call when None.
+    queries or training points are an error. _index, the search's
+    _TrainIndex of train_Y, is built per call when None.
     """
     train_Y = np.asarray(train_Y, dtype=np.float64)
     train_labels = np.asarray(train_labels, dtype=np.int64)

@@ -53,7 +53,7 @@ MODEL_FORMAT_VERSION = 1
 DENSE_MAX_ORDER = 300
 
 # embed_many's routes from a query to a fitted model
-OOS_MODES = ("nearest", "full", "refit")
+OOS_MODES = ("nearest", "refit")
 
 
 @dataclass(frozen=True)
@@ -352,9 +352,9 @@ def embed_oos(
 
     The kernel row keeps the k nearest training points, as embed_many's
     "nearest" route does; a precomputed length-n `weights` vector, finite
-    and nonnegative, replaces it. This is row 0 of embed_many and raises
-    its "query 0 outside model support" error when an unlabeled query has
-    zero kernel mass.
+    and nonnegative, replaces it, its nonzero entries summed in index
+    order. This is row 0 of embed_many and raises its "query 0 outside
+    model support" error when an unlabeled query has zero kernel mass.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.shape != (model.d,):
@@ -370,7 +370,9 @@ def embed_oos(
     if bad.size:
         raise ValueError("weight %d is %s; weights must be finite and nonnegative"
                          % (bad[0], weights[bad[0]]))
-    return _extend(model, weights[None], np.array([c], dtype=np.int64))[0]
+    # an all-zero row keeps one zero-weight column: zero kernel mass
+    cols = np.flatnonzero(weights) if weights.any() else np.zeros(1, dtype=np.int64)
+    return _extend(model, (cols[None], weights[cols][None]), np.array([c], dtype=np.int64))[0]
 
 
 def _check_oos(oos) -> None:
@@ -387,12 +389,12 @@ def embed_many(
     """Embed a batch of points; c is one label or a vector of labels.
 
     oos picks the route: "nearest" extends each query from its k nearest
-    training points, so a row does not depend on its batch; "full" from
-    every training point, through a BLAS product whose last bits may change
-    with the batch; "refit" solves the model again with the query and its
-    label appended. A labelled refit lands near the extension's row; an
-    unlabelled one is no check of the extension at small beta, where the
-    appended low-degree vertex can pull an eigenvector onto itself.
+    training points, the kernel the fit's own rows sum over, so a row does
+    not depend on its batch; "refit" solves the model again with the query
+    and its label appended. A labelled refit lands near the extension's
+    row; an unlabelled one is no check of the extension at small beta,
+    where the appended low-degree vertex can pull an eigenvector onto
+    itself.
     """
     _check_oos(oos)
     X = np.asarray(X, dtype=np.float64)
@@ -409,28 +411,21 @@ def embed_many(
         K = kernel_rows(X, model.train_points, model.k, model.eps, _index=model._index)
         return _extend(model, K, cs)
     _check_finite(X)
-    if oos == "full":
-        return _extend(model, np.exp(-cdist(X, model.train_points, "sqeuclidean") / model.eps), cs)
     return np.array([_refit_row(model, x, ci) for x, ci in zip(X, cs)]).reshape(q, model.m)
 
 
 def _extend(model: CcdrModel, K, cs: np.ndarray) -> np.ndarray:
     """The extension formula for kernel rows K and labels cs (0 = unlabeled).
 
-    K is kernel_rows' (nbrs, w), whose k terms are added one column at a
-    time, nearest first, so a row gets the same bits in any batch; or dense
-    (q, n) weights, taken through one BLAS product whose summation order can
-    change a row's last bits with its batch. For an eigenmap model (L = 0,
-    beta = 1) this is the Nystrom extension sum_j K_ij y_j / ((1 - lambda)
-    sum_j K_ij), bit for bit."""
-    if isinstance(K, tuple):
-        nbrs, w = K
-        terms = model.embedding[nbrs] * w[:, :, None]
-        mass, wy = w[:, 0], terms[:, 0]
-        for t in range(1, w.shape[1]):
-            mass, wy = mass + w[:, t], wy + terms[:, t]
-    else:
-        mass, wy = K.sum(axis=1), K @ model.embedding
+    K is kernel_rows' (nbrs, w), whose terms are added one column at a
+    time, left to right, so a row gets the same bits in any batch. For an
+    eigenmap model (L = 0, beta = 1) this is the Nystrom extension
+    sum_j K_ij y_j / ((1 - lambda) sum_j K_ij), bit for bit."""
+    nbrs, w = K
+    terms = model.embedding[nbrs] * w[:, :, None]
+    mass, wy = w[:, 0], terms[:, 0]
+    for t in range(1, w.shape[1]):
+        mass, wy = mass + w[:, t], wy + terms[:, t]
     lab = (cs > 0).astype(np.float64)
     den = lab + model.beta * mass
     bad = np.nonzero(den <= 0.0)[0]

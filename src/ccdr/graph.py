@@ -82,9 +82,11 @@ class _TrainIndex:
     max ||xc||^2 and a column-major copy of X. Every route reads X through
     it, so X must not change while the index is in use; a fitted model and
     a KnnClassifier build one each, on read-only arrays, and reuse it.
+    Non-finite training points are an error.
     """
 
     def __init__(self, X: np.ndarray):
+        _check_finite(X, "training point")
         n, d = X.shape
         self.X = X
         self.mu = X.mean(axis=0)
@@ -260,11 +262,11 @@ def _sq_dists(QT: np.ndarray, XT: np.ndarray, rows: np.ndarray, cols: np.ndarray
     return acc
 
 
-def _check_finite(Q: np.ndarray) -> None:
-    """Raise on the first query row with a NaN or infinite coordinate."""
+def _check_finite(Q: np.ndarray, what: str = "query") -> None:
+    """Raise on the first row with a NaN or infinite coordinate."""
     finite = np.isfinite(Q).all(axis=1)
     if not finite.all():
-        raise ValueError("query %d has a non-finite coordinate" % int(np.argmin(finite)))
+        raise ValueError("%s %d has a non-finite coordinate" % (what, int(np.argmin(finite))))
 
 
 def _nearest(
@@ -427,8 +429,9 @@ def kernel_rows(
     Returns (nbrs, w), both (q, k): nbrs[i] indexes the k nearest training
     points to x_i, nearest first (ties by ascending index), and
     w[i, t] = exp(-||x_i - x_nbrs[i, t]||^2 / eps). Every other training
-    point has weight 0. Non-finite queries are an error. _index, the
-    search's _TrainIndex of train_points, is built per call when None.
+    point has weight 0. Non-finite queries or training points are an
+    error. _index, the search's _TrainIndex of train_points, is built per
+    call when None.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")

@@ -48,7 +48,7 @@ class ExperimentConfig:
     or a synthetic spec (synth = dict with n_per_class, radii, noise_sd);
     synthetic test data uses seed + 1. remap=None means the satimage label
     table. eps=None selects the median heuristic scaled by eps_scale.
-    oos (one of embedding.OOS_MODES: "nearest", "full" or "refit") is how
+    oos (one of embedding.OOS_MODES: "nearest" or "refit") is how
     test points reach every graph pipeline's embedding, ccdr and lapeig
     alike; see embed_many. The `ccdr sweep` and `ccdr classify` options
     are derived from these fields and their defaults (see cli.py).

@@ -9,7 +9,6 @@ from scipy.spatial.distance import pdist
 from ccdr.baselines import (
     lda_fit,
     laplacian_eigenmap,
-    pca_energy_dim,
     pca_fit,
 )
 from ccdr.graph import heat_weights, knn_graph
@@ -31,7 +30,6 @@ def test_pca_line_is_isometric():
     line = np.outer(t, [1.0, 2.0, -1.0]) + np.array([5.0, 0.0, 3.0])
     Y = pca_fit(line, 1).transform(line)
     assert np.abs(pdist(Y) - pdist(line)).max() < 1e-10
-    assert pca_energy_dim(line, 0.999) == 1
 
 
 def test_pca_explained_variance_isotropic():
@@ -57,18 +55,6 @@ def test_pca_beats_random_projections():
     for t in range(100):
         Q, _ = np.linalg.qr(rng.standard_normal((5, 2)))
         assert float(np.trace(Q.T @ C @ Q)) <= best + 1e-10
-
-
-def test_pca_energy_dim_exact_fractions():
-    # centered data with covariance eigenvalues 0.5 and 0.125
-    X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.5], [0.0, -0.5]])
-    assert pca_energy_dim(X, 0.8) == 1
-    assert pca_energy_dim(X, 0.81) == 2
-    assert pca_energy_dim(X, 1.0) == 2
-    with pytest.raises(ValueError, match=r"frac must lie in \(0, 1\]"):
-        pca_energy_dim(X, 0.0)
-    with pytest.raises(ValueError, match="covariance has no energy"):
-        pca_energy_dim(np.ones((3, 2)), 0.9)
 
 
 def test_pca_validation():

@@ -153,10 +153,11 @@ def test_oos_extension_and_brute_force(split_files, tmp_path):
     assert lines[0] == "e1,e2,label" and len(lines) == 21
     # labels column carries the query labels through
     assert {int(l.rsplit(",", 1)[1]) for l in lines[1:]} == {1, 2}
+    # the dense kernel over every training point is not a route
     o2 = tmp_path / "oos_full.csv"
     assert main(["oos", "--model", str(mdl), "--points", tst, "--remap", "identity",
-                 "--out", str(o2), "--oos", "full"]) == 0
-    assert o2.read_text() != o1.read_text()
+                 "--out", str(o2), "--oos", "full"]) == 2
+    assert not o2.exists()
     o3 = tmp_path / "oos_refit.csv"
     assert main(["oos", "--model", str(mdl), "--points", tst, "--remap", "identity",
                  "--out", str(o3), "--oos", "refit"]) == 0
@@ -243,7 +244,7 @@ def test_unknown_oos_route_fails_before_any_file_is_read(tmp_path, capsys):
         ["oos", "--model", missing, "--points", missing, "--out", missing, "--oos", "bogus"],
     ):
         assert main(argv) == 2
-        assert capsys.readouterr().err == "error: oos must be one of nearest, full, refit\n"
+        assert capsys.readouterr().err == "error: oos must be one of nearest, refit\n"
     assert not any(tmp_path.iterdir())
 
 

@@ -29,7 +29,7 @@ from ccdr.embedding import (
     save_model,
     shrink,
 )
-from ccdr.graph import heat_weights, knn_graph, median_eps
+from ccdr.graph import heat_weights, kernel_rows, knn_graph, median_eps
 
 
 def small_w():
@@ -250,13 +250,19 @@ def test_oos_validation(blob30):
         embed_oos(model, np.zeros(3), 0, weights=w)
 
 
-def test_oos_full_kernel(blob30):
+def test_oos_weights_take_the_nearest_kernel_row(blob30):
     model = fit(blob30, k=5, eps=None, beta=0.8, m=2)
     x = np.array([0.3, -0.2, 0.5])
-    w = np.exp(-((blob30.points - x) ** 2).sum(axis=1) / model.eps)
-    got = embed_many(model, x[None], 0, "full")[0]
-    want = embed_oos(model, x, 0, weights=w)
-    assert got == pytest.approx(want, rel=1e-12)
+    nbrs, w = kernel_rows(x[None], model.train_points, model.k, model.eps)
+    row = np.zeros(model.n)
+    row[nbrs[0]] = w[0]
+    for c in (0, 2):
+        # the same terms, summed in index order instead of nearest first
+        got = embed_oos(model, x, c, weights=row)
+        assert np.abs(got - embed_oos(model, x, c)).max() < 1e-12
+    # no kernel mass: a labelled query lands on its class center
+    got = embed_oos(model, x, 2, weights=np.zeros(model.n))
+    assert np.array_equal(got, model.centers[1] / (1.0 - model.eigenvalues))
 
 
 def test_embed_many_matches_single(blob30):
@@ -264,19 +270,13 @@ def test_embed_many_matches_single(blob30):
     rng = np.random.default_rng(52)
     X = rng.standard_normal((6, 3)) * 0.5
     cs = np.array([0, 1, 2, 3, 0, 1])
-    for c, oos in ((cs, "nearest"), (0, "nearest"), (0, "full")):
-        batch = embed_many(model, X, c, oos)
+    for c in (cs, 0):
+        batch = embed_many(model, X, c)
         for i in range(6):
             ci = int(np.broadcast_to(c, 6)[i])
-            single = embed_many(model, X[i : i + 1], ci, oos)[0]
-            if oos == "full":
-                w = np.exp(-cdist(X[i : i + 1], model.train_points, "sqeuclidean") / model.eps)
-                assert np.array_equal(single, embed_oos(model, X[i], ci, weights=w))
-                # the dense kernel goes through BLAS, which may sum in another order per batch size
-                assert batch[i] == pytest.approx(single, rel=1e-12, abs=1e-15)
-            else:
-                assert np.array_equal(single, embed_oos(model, X[i], ci))
-                assert np.array_equal(batch[i], single)
+            single = embed_many(model, X[i : i + 1], ci)[0]
+            assert np.array_equal(single, embed_oos(model, X[i], ci))
+            assert np.array_equal(batch[i], single)
 
 
 @st.composite
@@ -589,7 +589,7 @@ def test_embed_rejects_non_finite_queries(blob30, bad):
     model = fit(blob30, k=5, eps=None, beta=0.8, m=2)
     X = blob30.points[:4].copy()
     X[2, 1] = bad
-    for oos in ("nearest", "full"):
+    for oos in OOS_MODES:
         with pytest.raises(ValueError, match="query 2 has a non-finite coordinate"):
             embed_many(model, X, oos=oos)
         with pytest.raises(ValueError, match="query 0 has a non-finite coordinate"):
@@ -614,7 +614,7 @@ def test_every_oos_route_keeps_the_batch_contract(blob30, oos):
 def test_embed_many_rejects_an_unknown_route(blob30):
     model = fit(blob30, k=5, eps=None, beta=0.8, m=2)
     for oos in ("knn", "", None, True):
-        with pytest.raises(ValueError, match="oos must be one of nearest, full, refit"):
+        with pytest.raises(ValueError, match="oos must be one of nearest, refit"):
             embed_many(model, blob30.points[:2], oos=oos)
 
 

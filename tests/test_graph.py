@@ -591,3 +591,14 @@ def test_kernel_rows_reject_non_finite_queries(bad):
         kernel_rows(Q, pts, 2, 1.0)
     with pytest.raises(ValueError, match="query 0 has a non-finite coordinate"):
         kernel_rows(Q[1:2], pts, 2, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_search_rejects_non_finite_training_points(bad):
+    train = np.array([[0.0], [bad], [bad], [3.0]])
+    Q = np.array([[0.1], [2.9]])
+    for k in (2, 3):
+        with pytest.raises(ValueError, match="training point 1 has a non-finite coordinate"):
+            kernel_rows(Q, train, k, 1.0)
+        with pytest.raises(ValueError, match="training point 1 has a non-finite coordinate"):
+            sorted_neighbor_labels(train, [1, 1, 2, 2], Q, k)

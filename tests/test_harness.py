@@ -166,13 +166,12 @@ def test_lapeig_honours_the_oos_flags():
     train = gen_circles(20, [1.0, 2.0], 0.02, seed=5)
     q = np.array([[0.5, 0.5], [-1.2, 0.3], [3.0, 0.0]])
     pf = fit_pipeline("lapeig", train, 2, graph_k=4)
-    full = embed_many(pf.detail, q, 0, "full")
+    nearest = embed_many(pf.detail, q, 0, "nearest")
     refit = embed_many(pf.detail, q, 0, "refit")
-    assert full.shape == refit.shape == (3, 2)
-    assert np.all(np.isfinite(full)) and np.all(np.isfinite(refit))
-    assert np.array_equal(pf.transform(q[:2]), embed_many(pf.detail, q[:2], 0, "nearest"))
-    assert not np.array_equal(pf.transform(q[:2]), full[:2])
-    assert not np.array_equal(full, refit)
+    assert nearest.shape == refit.shape == (3, 2)
+    assert np.all(np.isfinite(nearest)) and np.all(np.isfinite(refit))
+    assert np.array_equal(pf.transform(q[:2]), nearest[:2])
+    assert not np.array_equal(nearest, refit)
 
 
 def test_lapeig_eigenvalue_reaching_one_names_only_m():
@@ -476,7 +475,7 @@ def test_run_sweep_validation(circle_files):
         run_sweep(ExperimentConfig(pipelines=("mds",), **base))
     with pytest.raises(ValueError, match="unknown classifier 'svm'"):
         run_sweep(ExperimentConfig(classifiers=("svm",), **base))
-    with pytest.raises(ValueError, match="oos must be one of nearest, full, refit"):
+    with pytest.raises(ValueError, match="oos must be one of nearest, refit"):
         run_sweep(ExperimentConfig(oos="knn", **base))
     with pytest.raises(ValueError, match="all grids must be non-empty"):
         run_sweep(ExperimentConfig(betas=(), **base))
