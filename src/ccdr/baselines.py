@@ -1,11 +1,20 @@
-"""Classical embeddings: PCA, Fisher LDA, Laplacian eigenmaps."""
+"""Classical embeddings: PCA, Fisher LDA, Laplacian eigenmaps.
+
+PCA and LDA solve their small dense eigenproblems through `numpy.linalg`,
+whose OpenBLAS also runs every neighbour-search GEMM. scipy ships a second
+OpenBLAS with its own worker pool; after a threaded LAPACK call on that pool
+its worker spins for about 0.1 s, and numpy GEMMs run at about half speed
+meanwhile (measured on 2 vCPUs). Keeping these solves on numpy's pool
+keeps a baseline fit from slowing the embed and predict batches that
+follow it. Laplacian eigenmaps go through `spectral`, the one module on
+scipy's LAPACK and ARPACK.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .embedding import _spectrum
 from .graph import WeightMatrix
@@ -28,6 +37,11 @@ class LinearEmbedding:
         return self.A.shape[0]
 
 
+def _check_scatter(scatter: np.ndarray) -> None:
+    if not np.isfinite(scatter).all():
+        raise ValueError("points must be finite, with a finite scatter matrix")
+
+
 def pca_fit(points: np.ndarray, m: int) -> LinearEmbedding:
     """Top-m principal directions of the mean-centered covariance.
 
@@ -44,9 +58,10 @@ def pca_fit(points: np.ndarray, m: int) -> LinearEmbedding:
     mean = X.mean(axis=0)
     Xc = X - mean
     C = (Xc.T @ Xc) / n
-    vals, vecs = scipy.linalg.eigh((C + C.T) / 2.0, subset_by_index=(d - m, d - 1))
-    _warn_small_gaps(vals)
-    A = _fix_signs(vecs[:, ::-1]).T
+    _check_scatter(C)
+    vals, vecs = np.linalg.eigh((C + C.T) / 2.0)
+    _warn_small_gaps(vals[d - m:])
+    A = _fix_signs(vecs[:, ::-1][:, :m]).T
     return LinearEmbedding(A=A.copy(), offset=mean)
 
 
@@ -84,14 +99,21 @@ def lda_fit(points: np.ndarray, labels: np.ndarray, m: int) -> LinearEmbedding:
         CB += Xk.shape[0] * (dm @ dm.T)
     CW /= n
     CB /= n
+    _check_scatter(CW)
+    _check_scatter(CB)
     try:
-        vals, vecs = scipy.linalg.eigh(CB, CW)
-    except scipy.linalg.LinAlgError:
+        L = np.linalg.cholesky(CW)
+    except np.linalg.LinAlgError:
         tr = float(np.trace(CW))
         ridge = 1e-6 * (tr / d if tr > 0 else 1.0)
         _warn_caller("within-class scatter is singular; adding ridge %g" % ridge)
-        vals, vecs = scipy.linalg.eigh(CB, CW + ridge * np.eye(d))
-    A = _fix_signs(vecs[:, ::-1][:, :m]).T
+        L = np.linalg.cholesky(CW + ridge * np.eye(d))
+    # CB v = lambda L L^T v becomes the symmetric problem M w = lambda w with
+    # M = L^{-1} CB L^{-T} and w = L^T v; then v = L^{-T} w is CW-orthonormal.
+    M = np.linalg.solve(L, np.linalg.solve(L, CB).T)
+    _, W = np.linalg.eigh((M + M.T) / 2.0)
+    vecs = np.linalg.solve(L.T, W[:, ::-1][:, :m])
+    A = _fix_signs(vecs).T
     return LinearEmbedding(A=A.copy(), offset=np.zeros(d))
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.spatial.distance import pdist
 
 from ccdr.baselines import (
@@ -12,6 +13,34 @@ from ccdr.baselines import (
     pca_fit,
 )
 from ccdr.graph import heat_weights, knn_graph
+from ccdr.spectral import _fix_signs
+
+
+def _six_classes_in_36d():
+    # anisotropic features, so every covariance eigenvalue is well separated,
+    # and six shifted classes, so C_B has rank 5
+    rng = np.random.default_rng(36)
+    y = np.repeat(np.arange(1, 7), 100)
+    means = rng.standard_normal((6, 36))
+    X = rng.standard_normal((600, 36)) * np.linspace(3.0, 0.5, 36) + means[y - 1]
+    return X, y
+
+
+def _scatters(X, y):
+    n, d = X.shape
+    mu = X.mean(axis=0)
+    CB = np.zeros((d, d))
+    CW = np.zeros((d, d))
+    for k in np.unique(y):
+        sel = X[y == k]
+        mk = sel.mean(axis=0)
+        CB += len(sel) * np.outer(mk - mu, mk - mu)
+        CW += (sel - mk).T @ (sel - mk)
+    return CB / n, CW / n
+
+
+def _rel_diff(A, B):
+    return np.abs(A - B).max() / np.abs(B).max()
 
 
 def test_pca_rows_orthonormal():
@@ -90,6 +119,39 @@ def test_pca_repeated_variance_warns_at_the_caller():
     with pytest.warns(RuntimeWarning, match="not unique") as record:
         pca_fit(X, 2)
     assert [w.filename for w in record] == [__file__]
+
+
+def test_pca_agrees_with_scipy_subset_solve():
+    X, _ = _six_classes_in_36d()
+    Xc = X - X.mean(axis=0)
+    C = (Xc.T @ Xc) / X.shape[0]
+    m = 10
+    _, vecs = scipy.linalg.eigh((C + C.T) / 2.0, subset_by_index=(36 - m, 35))
+    expect = _fix_signs(vecs[:, ::-1]).T
+    assert _rel_diff(pca_fit(X, m).A, expect) < 1e-10
+
+
+def test_lda_agrees_with_scipy_generalized_solve():
+    X, y = _six_classes_in_36d()
+    CB, CW = _scatters(X, y)
+    m = 5  # C_B has rank 5, so only these directions are unique
+    _, vecs = scipy.linalg.eigh(CB, CW)
+    expect = _fix_signs(vecs[:, ::-1][:, :m]).T
+    A = lda_fit(X, y, m).A
+    assert _rel_diff(A, expect) < 1e-10
+    assert np.abs(A @ CW @ A.T - np.eye(m)).max() < 1e-10
+    # the full set of rows is C_W-orthonormal too, null directions included
+    A = lda_fit(X, y, 36).A
+    assert np.abs(A @ CW @ A.T - np.eye(36)).max() < 1e-10
+
+
+def test_pca_and_lda_reject_non_finite_points():
+    X, y = _six_classes_in_36d()
+    X[3, 7] = np.nan
+    with pytest.raises(ValueError, match="points must be finite"):
+        pca_fit(X, 2)
+    with pytest.raises(ValueError, match="points must be finite"):
+        lda_fit(X, y, 2)
 
 
 def test_lda_separable_construction():
