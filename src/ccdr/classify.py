@@ -39,9 +39,12 @@ class LinearClassifier:
 def linear_fit(Y: np.ndarray, labels: np.ndarray, num_classes: int) -> LinearClassifier:
     """Fit one least-squares score per class against its 0/1 indicator.
 
-    Solves the normal equations on the design [Y | 1] with a tiny ridge
-    1e-10 tr(X^T X)/cols for numerical safety; a rank-deficient design gets
-    a warning (the ridge then picks a minimum-norm-like solution).
+    Solves the normal equations on the design X = [Y | 1] with a tiny ridge
+    1e-10 tr(X^T X)/cols for numerical safety. The rank is tested on the
+    Gram matrix X^T X, so a design whose singular-value ratio falls below
+    about sqrt(cols * eps) ~ 1e-7 counts as rank deficient and gets a
+    warning: the ridge dominates such a direction and picks a
+    minimum-norm-like solution.
     """
     Y = np.asarray(Y, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -58,7 +61,7 @@ def linear_fit(Y: np.ndarray, labels: np.ndarray, num_classes: int) -> LinearCla
     T = np.zeros((n, num_classes))
     T[np.arange(n), labels - 1] = 1.0
     G = X.T @ X
-    if np.linalg.matrix_rank(X) < m + 1:
+    if np.linalg.matrix_rank(G, hermitian=True) < m + 1:
         _warn_caller("design matrix is rank deficient; returning a minimum-norm-like solution")
     ridge = 1e-10 * np.trace(G) / (m + 1)
     coef = np.linalg.solve(G + ridge * np.eye(m + 1), X.T @ T)

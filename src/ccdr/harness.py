@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import classify as _classify
 from .dataset import (
@@ -105,19 +105,25 @@ class PipelineFit:
     detail: object = None
 
 
+def _check_level(level):
+    if not 0 <= level < 1:
+        raise ValueError("level must lie in [0, 1)")
+
+
 def confidence_interval(errors: int, n_test: int, level: float = 0.8):
     """Normal-approximation binomial interval for an error rate.
 
     Returns (low, high) clamped to [0, 1]; errors = 0 or errors = n_test
-    collapse the interval onto the point estimate.
+    collapse the interval onto the point estimate. Level 0.8 uses Z80;
+    any other level takes its quantile from scipy.special.ndtri, bit for
+    bit the value scipy.stats.norm.ppf gives, without loading scipy.stats.
     """
     if n_test < 1:
         raise ValueError("n_test must be at least 1")
     if not 0 <= errors <= n_test:
         raise ValueError("errors must lie in {0, .., n_test}")
-    if not 0 <= level < 1:
-        raise ValueError("level must lie in [0, 1)")
-    z = Z80 if level == 0.8 else float(norm.ppf((1.0 + level) / 2.0))
+    _check_level(level)
+    z = Z80 if level == 0.8 else float(ndtri((1.0 + level) / 2.0))
     p = errors / n_test
     half = z * np.sqrt(p * (1.0 - p) / n_test)
     return (float(max(0.0, p - half)), float(min(1.0, p + half)))
@@ -215,6 +221,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
         if c not in CLASSIFIERS:
             raise ValueError("unknown classifier %r" % c)
     _check_oos(cfg.oos)
+    _check_level(cfg.ci_level)
     if not (cfg.pipelines and cfg.classifiers and cfg.betas and cfg.ms
             and cfg.graph_ks and cfg.clf_ks):
         raise ValueError("all grids must be non-empty")

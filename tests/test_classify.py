@@ -57,6 +57,29 @@ def test_linear_degenerate_design_ties_to_class_one():
     assert np.array_equal(clf.predict(np.array([[0.0], [5.0]])), [1, 1])
 
 
+def test_linear_duplicated_column_warns_rank_deficient():
+    rng = np.random.default_rng(3)
+    Y = rng.standard_normal((40, 3))
+    Y = np.hstack([Y, Y[:, 1:2]])
+    labels = np.repeat([1, 2], 20)
+    with pytest.warns(RuntimeWarning, match="rank deficient"):
+        clf = linear_fit(Y, labels, 2)
+    assert np.all(np.isfinite(clf.weights)) and np.all(np.isfinite(clf.bias))
+
+
+def test_linear_near_rank_loss_warns_on_gram_matrix():
+    # a singular-value ratio near 1e-9 is full rank for the tall design
+    # (tolerance about n * eps) but below the Gram matrix's sqrt(cols * eps),
+    # where the 1e-10 ridge already decides that direction
+    rng = np.random.default_rng(4)
+    Y = rng.standard_normal((60, 3))
+    Y[:, 2] *= 1e-9
+    X = np.hstack([Y, np.ones((60, 1))])
+    assert np.linalg.matrix_rank(X) == 4
+    with pytest.warns(RuntimeWarning, match="rank deficient"):
+        linear_fit(Y, np.repeat([1, 2, 3], 20), 3)
+
+
 def test_linear_separates_three_clusters():
     rng = np.random.default_rng(57)
     centers = np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]])

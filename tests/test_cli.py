@@ -325,6 +325,17 @@ def test_sweep_counts_failed_grid_points(split_files, tmp_path, capsys):
     assert "nan" in out.read_text()
 
 
+def test_bad_ci_level_exits_2_before_any_fit(split_files, tmp_path, capsys):
+    trn, tst = split_files
+    out = tmp_path / "bad.csv"
+    common = ["--train", trn, "--test", tst, "--remap", "identity", "--ci-level", "1.5"]
+    assert main(["sweep", *common, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: level must lie in [0, 1)\n"
+    assert not out.exists()
+    assert main(["classify", *common]) == 2
+    assert capsys.readouterr().err == "error: level must lie in [0, 1)\n"
+
+
 def test_config_file_with_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text(

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 import ccdr.classify
 import ccdr.graph
@@ -64,6 +65,13 @@ def test_confidence_interval_level_and_clamping():
     half = z * math.sqrt(0.2 * 0.8 / 100)
     assert abs(lo95 - (0.2 - half)) < 1e-12
     assert abs(hi95 - (0.2 + half)) < 1e-12
+    # bit for bit the interval built from scipy.stats' quantile
+    for level in (1e-12, 0.5, 0.9, 0.95, 0.99, 0.9999):
+        for errors in (20, 99):
+            p = errors / 100
+            half = float(norm.ppf((1.0 + level) / 2.0)) * np.sqrt(p * (1.0 - p) / 100)
+            want = (float(max(0.0, p - half)), float(min(1.0, p + half)))
+            assert confidence_interval(errors, 100, level) == want
 
 
 def test_confidence_interval_validation():
@@ -479,6 +487,15 @@ def test_run_sweep_validation(circle_files):
         run_sweep(ExperimentConfig(oos="knn", **base))
     with pytest.raises(ValueError, match="all grids must be non-empty"):
         run_sweep(ExperimentConfig(betas=(), **base))
+
+
+@pytest.mark.parametrize("level", [1.0, 1.5, -0.1, float("nan")])
+def test_run_sweep_rejects_a_bad_ci_level_before_reading_data(tmp_path, level):
+    missing = str(tmp_path / "missing.trn")
+    cfg = ExperimentConfig(train_path=missing, test_path=missing, ci_level=level)
+    # the missing file would raise OSError if load_split ran first
+    with pytest.raises(ValueError, match=r"level must lie in \[0, 1\)"):
+        run_sweep(cfg)
 
 
 def test_run_sweep_rejects_bad_test_sets(circle_files, tmp_path):
