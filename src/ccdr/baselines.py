@@ -6,8 +6,8 @@ OpenBLAS with its own worker pool; after a threaded LAPACK call on that pool
 its worker spins for about 0.1 s, and numpy GEMMs run at about half speed
 meanwhile (measured on 2 vCPUs). Keeping these solves on numpy's pool
 keeps a baseline fit from slowing the embed and predict batches that
-follow it. Laplacian eigenmaps go through `spectral`, the one module on
-scipy's LAPACK and ARPACK.
+follow it. Laplacian eigenmaps go through `spectral`, whose Lanczos
+iteration runs on the same pool.
 """
 
 from __future__ import annotations

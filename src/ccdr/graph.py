@@ -20,14 +20,15 @@ from scipy.spatial.distance import cdist
 # 88-95 ms at 2^18, 72-77 ms at 2^19 and 65-70 ms at 2^20.
 _BLOCK_ENTRIES = 1 << 20
 
-# Calls with fewer query-training pairs (q * n) than this compute every
-# block with cdist; larger calls screen each block with one GEMM first. On
-# a (q, n, d) grid with each call after non-BLAS work, as in a sweep, the
-# screen was faster in every cell from q * n = 2^20 up and lost in some
-# below it, most at small d. Re-measured at the 2^20 block it won every
-# cell from 2^19 up but one d = 2 cell at 2^20 in one of two runs (ratio
-# 1.02), so the constant stays (CHANGES.md has the tables).
-_SCREEN_MIN_PAIRS = 1 << 20
+# Calls with less work than this, counted as q * n * d multiply-adds for q
+# queries against n training points in d dimensions, compute every block
+# with cdist; larger calls screen each block with one GEMM first. The
+# count of pairs alone sent every sweep-sized search (the 1000-point graph,
+# 250- and 500-query batches against 1000 points) to the single-threaded
+# cdist, where at d = 36 on 2 vCPUs the screen took knn_graph from 25 to
+# 7.5 ms and a 250-query kernel_rows from 12.5 to 4.0 ms. Single queries
+# against the satimage-sized training set (4435 x 36) stay on cdist.
+_SCREEN_MIN_WORK = 1 << 20
 
 # Each row's k-th value is bounded from the minima of g = max(_GROUPS, 4k)
 # column groups (_kth_upper), and the screen scans only the groups whose
@@ -277,7 +278,7 @@ def _nearest(
     Returns (q, k) indices and their cdist squared distances, the one
     formula every graph and kernel weight is computed from. Query rows go
     in blocks of about _BLOCK_ENTRIES distances. A call of at least
-    _SCREEN_MIN_PAIRS query-training pairs screens each block with one GEMM
+    _SCREEN_MIN_WORK multiply-adds (q * n * d) screens each block with one GEMM
     (_Screen) and computes cdist's bits for the candidates only; otherwise,
     or when a block's screen is not finite or keeps too many candidates, the
     block's candidates are the cdist values at or below _kth_upper's bound,
@@ -295,11 +296,11 @@ def _nearest(
             % (Q.shape[1], X.shape[1])
         )
     _check_finite(Q)
-    q, n = Q.shape[0], X.shape[0]
+    q, (n, d) = Q.shape[0], X.shape
     idx = np.empty((q, k), dtype=np.int64)
     dist = np.empty((q, k))
     step = max(1, _BLOCK_ENTRIES // n)
-    screen = _Screen(Q, index) if q * n >= _SCREEN_MIN_PAIRS else None
+    screen = _Screen(Q, index) if q * n * d >= _SCREEN_MIN_WORK else None
     for s in range(0, q, step):
         e = min(q, s + step)
         found = screen.candidates(s, e, k, skip_self) if screen else None

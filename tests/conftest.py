@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
 import ccdr.spectral
 from ccdr.dataset import LabeledDataset, gen_circles
@@ -80,11 +79,6 @@ def nearly_cut_off():
 
 
 @pytest.fixture()
-def arpack_fails(monkeypatch):
-    """Make every sparse (Lanczos) eigensolve raise ARPACK's non-convergence."""
-
-    def eigsh(*args, **kwargs):
-        msg = "No convergence (6001 iterations, 0/1 eigenvectors converged)"
-        raise ArpackNoConvergence(msg, np.zeros(0), np.zeros((0, 0)))
-
-    monkeypatch.setattr(ccdr.spectral, "eigsh", eigsh)
+def lanczos_fails(monkeypatch):
+    """Make every Lanczos eigensolve give up before its first basis fill."""
+    monkeypatch.setattr(ccdr.spectral, "MAX_CYCLES", 0)

@@ -224,7 +224,7 @@ def test_knn_keeps_read_only_copies_and_builds_its_index_once():
     with mock.patch.object(classify, "_TrainIndex", wraps=classify._TrainIndex) as built, \
             mock.patch.object(graph, "_TrainIndex", wraps=graph._TrainIndex) as per_call:
         for route in ROUTES:
-            with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+            with mock.patch.object(graph, "_SCREEN_MIN_WORK", route):
                 for _ in range(2):
                     assert np.array_equal(clf.predict(Q), want)
     assert built.call_count == 1 and per_call.call_count == 0
@@ -236,7 +236,7 @@ def test_knn_predict_rejects_non_finite_queries():
         clf.predict(np.array([[0.0, 0.0], [1.0, 1.0], [np.nan, 0.0]]))
 
 
-# graph._SCREEN_MIN_PAIRS values: every call screened, then every call exact
+# graph._SCREEN_MIN_WORK values: every call screened, then every call exact
 ROUTES = (0, 1 << 62)
 MISMATCH = "queries have 3 coordinates but the training points have 2"
 
@@ -244,7 +244,7 @@ MISMATCH = "queries have 3 coordinates but the training points have 2"
 @pytest.mark.parametrize("route", ROUTES)
 def test_sorted_neighbor_labels_reject_a_query_dimension_mismatch(route):
     train, labels = np.arange(8.0).reshape(4, 2), np.array([1, 1, 2, 2])
-    with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+    with mock.patch.object(graph, "_SCREEN_MIN_WORK", route):
         with pytest.raises(ValueError, match=MISMATCH):
             sorted_neighbor_labels(train, labels, np.zeros((5, 3)), 2)
 
@@ -252,6 +252,6 @@ def test_sorted_neighbor_labels_reject_a_query_dimension_mismatch(route):
 @pytest.mark.parametrize("route", ROUTES)
 def test_knn_predict_rejects_a_query_dimension_mismatch(route):
     clf = KnnClassifier(np.arange(8.0).reshape(4, 2), np.array([1, 1, 2, 2]), 3, 2)
-    with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+    with mock.patch.object(graph, "_SCREEN_MIN_WORK", route):
         with pytest.raises(ValueError, match=MISMATCH):
             clf.predict(np.zeros((5, 3)))

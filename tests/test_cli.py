@@ -191,10 +191,10 @@ def test_classify_on_synthetic_source(capsys):
     assert "pipeline=ccdr" in capsys.readouterr().out
 
 
-def test_classify_reports_a_lanczos_failure(arpack_fails, capsys):
+def test_classify_reports_a_lanczos_failure(lanczos_fails, capsys):
     rc = main([
         "classify", "--synth-n-per-class", "160", "--synth-noise-sd", "0.02",
-        "--pipeline", "lapeig", "--classifier", "knn", "--m", "1",
+        "--pipeline", "lapeig", "--classifier", "knn", "--k", "8", "--m", "2",
     ])
     assert rc == 2
     assert "error: grid point failed: Lanczos solve did not converge" in capsys.readouterr().err

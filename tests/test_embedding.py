@@ -421,7 +421,7 @@ def test_model_round_trip(tmp_path, blob30):
     assert np.array_equal(embed_oos(back, x, 1), embed_oos(model, x, 1))
 
 
-# graph._SCREEN_MIN_PAIRS values: every call screened, then every call exact
+# graph._SCREEN_MIN_WORK values: every call screened, then every call exact
 ROUTES = (0, 1 << 62)
 
 
@@ -435,7 +435,7 @@ def test_fitted_models_are_read_only_with_unchanged_fields(tmp_path, blob30):
     back = load_model(tmp_path / "model.npz")
     Q = np.random.default_rng(41).standard_normal((50, 3))
     for route in ROUTES:
-        with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+        with mock.patch.object(graph, "_SCREEN_MIN_WORK", route):
             assert np.array_equal(embed_many(back, Q), embed_many(model, Q))
     for m in (model, back, shrink(model, 1)):
         for f in dataclasses.fields(CcdrModel):
@@ -452,7 +452,7 @@ def test_embed_many_builds_the_training_index_once(blob30):
             mock.patch.object(graph, "_TrainIndex", wraps=graph._TrainIndex) as per_call:
         rows = []
         for route in ROUTES:
-            with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+            with mock.patch.object(graph, "_SCREEN_MIN_WORK", route):
                 rows += [embed_many(model, Q), embed_many(model, Q[:7], 2)]
     assert built.call_count == 1 and per_call.call_count == 0
     assert np.array_equal(rows[0], rows[2]) and np.array_equal(rows[1], rows[3])
@@ -634,7 +634,7 @@ def test_refit_honours_query_labels():
     assert near.max() < 0.1
 
 
-# graph._SCREEN_MIN_PAIRS values: every neighbour search screened, then exact
+# graph._SCREEN_MIN_WORK values: every neighbour search screened, then exact
 ROUTES = (0, 1 << 62)
 
 
@@ -644,7 +644,7 @@ def test_fit_is_scale_covariant(route):
     # exactly, so every heat weight, and with it the whole model, keeps its bits
     ds = gaussian_classes(400, d=6)
     Q = np.random.default_rng(3).standard_normal((50, 6))
-    with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+    with mock.patch.object(graph, "_SCREEN_MIN_WORK", route):
         a = fit(ds, k=5, beta=0.5, m=3)
         b = fit(LabeledDataset(2.0 * ds.points, ds.labels, ds.num_classes),
                 k=5, beta=0.5, m=3)
@@ -681,7 +681,7 @@ def test_fit_is_invariant_to_rigid_motion(seed):
     R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
     moved = LabeledDataset(ds.points @ R.T + rng.normal(0.0, 3.0, 3), ds.labels, 3)
     for route in ROUTES:
-        with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+        with mock.patch.object(graph, "_SCREEN_MIN_WORK", route):
             assert knn_graph(moved.points, 5).edge_set() == knn_graph(ds.points, 5).edge_set()
             a = fit(ds, k=5, beta=0.5, m=2)
             b = fit(moved, k=5, beta=0.5, m=2)
@@ -696,7 +696,7 @@ def test_fit_is_equivariant_to_row_permutation(seed):
     perm = rng.permutation(ds.n)
     shuffled = LabeledDataset(ds.points[perm], ds.labels[perm], 3)
     for route in ROUTES:
-        with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+        with mock.patch.object(graph, "_SCREEN_MIN_WORK", route):
             want = {tuple(sorted((int(perm[i]), int(perm[j]))))
                     for i, j in knn_graph(shuffled.points, 5).edges}
             assert knn_graph(ds.points, 5).edge_set() == want

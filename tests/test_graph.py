@@ -266,7 +266,7 @@ def grid_problem(draw):
 
 # one query row per block, then the default block size
 BLOCK_SIZES = (1, graph._BLOCK_ENTRIES)
-# _SCREEN_MIN_PAIRS values: every call screened, then every call exact
+# _SCREEN_MIN_WORK values: every call screened, then every call exact
 ROUTES = (0, 1 << 62)
 
 
@@ -274,7 +274,7 @@ def assert_nearest_follows_the_full_sort(X, Q, k):
     for block in BLOCK_SIZES:
         for route in ROUTES:
             with mock.patch.object(graph, "_BLOCK_ENTRIES", block), \
-                    mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+                    mock.patch.object(graph, "_SCREEN_MIN_WORK", route):
                 for skip_self, queries in ((False, Q), (True, X)):
                     idx, d2 = graph._nearest(queries, graph._TrainIndex(X), k, skip_self=skip_self)
                     want_idx, want_d2 = full_sort_neighbors(queries, X, k, skip_self)
@@ -347,7 +347,7 @@ def test_graph_kernel_and_classifier_follow_the_full_sort(problem):
     qidx, qd2 = full_sort_neighbors(Q, X, k)
     labels = np.arange(n) * 10
     for route in ROUTES:
-        with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+        with mock.patch.object(graph, "_SCREEN_MIN_WORK", route):
             g = knn_graph(X, k)
             assert g.edge_set() == want_edges
             for (i, j), v in zip(g.edges, g.sq_dists):
@@ -407,7 +407,7 @@ def cdist_sort_neighbors(Q, X, k, skip_self=False):
 def screened_nearest(Q, X, k, skip_self=False):
     """_nearest with every call sent to the screen; also says whether any
     block fell back to the exact cdist path."""
-    with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", 0), \
+    with mock.patch.object(graph, "_SCREEN_MIN_WORK", 0), \
             mock.patch.object(graph, "cdist", wraps=cdist) as spy:
         idx, d2 = graph._nearest(Q, graph._TrainIndex(X), k, skip_self=skip_self)
     return idx, d2, spy.called
@@ -444,7 +444,7 @@ def test_group_pruned_scan_follows_the_full_sort(problem):
     index = graph._TrainIndex(X)
     for route in ROUTES:
         for block in (5 * X.shape[0], graph._BLOCK_ENTRIES):
-            with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route), \
+            with mock.patch.object(graph, "_SCREEN_MIN_WORK", route), \
                     mock.patch.object(graph, "_BLOCK_ENTRIES", block):
                 for skip_self, queries in ((False, Q), (True, X)):
                     idx, d2 = graph._nearest(queries, index, k, skip_self=skip_self)
@@ -523,7 +523,7 @@ def test_screen_keeps_k_equal_n_in_sorted_neighbor_labels():
     labels = np.arange(40) * 10
     want = labels[cdist_sort_neighbors(Q, X, 40)[0]]
     for route in ROUTES:
-        with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+        with mock.patch.object(graph, "_SCREEN_MIN_WORK", route):
             assert np.array_equal(sorted_neighbor_labels(X, labels, Q, 40), want)
 
 
@@ -567,7 +567,7 @@ def test_cdist_search_holds_one_block_of_distances():
 @pytest.mark.parametrize("route", ROUTES)
 def test_kernel_rows_reject_a_query_dimension_mismatch(route):
     X = np.arange(12.0).reshape(6, 2)
-    with mock.patch.object(graph, "_SCREEN_MIN_PAIRS", route):
+    with mock.patch.object(graph, "_SCREEN_MIN_WORK", route):
         with pytest.raises(ValueError, match="queries have 3 coordinates but the "
                            "training points have 2"):
             kernel_rows(np.zeros((4, 3)), X, 2, 1.0)

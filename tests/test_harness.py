@@ -246,17 +246,35 @@ def test_run_sweep_error_rows_keep_note_and_continue(circle_files):
     assert "k must satisfy" in bad.note
 
 
-def test_run_sweep_records_a_lanczos_failure_as_a_row(arpack_fails):
-    # 320 points put lapeig on the sparse (Lanczos) path
+def test_run_sweep_records_a_lanczos_failure_as_a_row(lanczos_fails):
+    # 320 points put lapeig on the sparse path; at graph_k = 8 the two
+    # rings are its only components, so m = 2 leaves one pair to Lanczos
     cfg = ExperimentConfig(
         synth={"n_per_class": 160, "radii": [1.0, 2.0], "noise_sd": 0.02}, seed=1,
-        pipelines=("lapeig", "raw"), ms=(1,), measure_wall=False,
+        pipelines=("lapeig", "raw"), ms=(2,), graph_ks=(8,), measure_wall=False,
     )
     lapeig, raw = run_sweep(cfg).rows
     assert lapeig.pipeline == "lapeig" and math.isnan(lapeig.error)
-    assert lapeig.note.startswith("Lanczos solve did not converge (ARPACK error -1")
+    assert lapeig.note.startswith("Lanczos solve did not converge (0 cycles")
     assert raw.pipeline == "raw" and raw.note == "" and np.isfinite(raw.error)
 
+
+
+def test_run_sweep_rows_of_the_circles_eigenmaps_near_a_multiple_eigenvalue():
+    # At graph_k = 4 the 600 circle points fall into 9 components, so
+    # eigenvalue 0 stays 8-fold after the constant is deflated; at
+    # graph_k = 8 two components leave eigenvalues 0 and 2.1e-7 at the
+    # bottom of the band. Every key gets an embedding and a finite row.
+    cfg = ExperimentConfig(
+        synth={"n_per_class": 300, "radii": [1.0, 2.0], "noise_sd": 0.02}, seed=1,
+        pipelines=("lapeig",), graph_ks=(4, 8), ms=(1, 2), measure_wall=False,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # every key's graph is disconnected
+        rows = run_sweep(cfg).rows
+    assert sorted((r.graph_k, r.m) for r in rows) == [(4, 1), (4, 2), (8, 1), (8, 2)]
+    for r in rows:
+        assert r.note == "" and np.isfinite(r.error) and np.isfinite(r.ci_low)
 
 def test_run_sweep_turns_a_failed_residual_gate_into_a_row(nearly_cut_off, tmp_path):
     trn, tst = tmp_path / "cut.trn", tmp_path / "cut.tst"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from ccdr.dataset import _indicator
+from ccdr.dataset import _indicator, gen_circles
 from ccdr.embedding import build_augmented
 from ccdr.graph import heat_weights, knn_graph, median_eps
 from ccdr.spectral import GAP_TOL, generalized_eig
@@ -116,6 +116,8 @@ def test_generalized_validation():
         generalized_eig(np.ones((2, 3)), np.ones(2), 1)
     with pytest.raises(ValueError, match="deg must have length 2"):
         generalized_eig(lap, np.ones(3), 1)
+    with pytest.raises(ValueError, match="lap rows must sum to zero"):
+        generalized_eig(np.array([[1.0, -0.5], [-0.5, 1.0]]), np.ones(2), 1)
 
 
 def test_warns_on_repeated_eigenvalue():
@@ -208,7 +210,51 @@ def test_sparse_validation_and_full_spectrum_requests():
         generalized_eig(skew, deg, 2)
 
 
-def test_sparse_non_convergence_is_a_linalg_error(arpack_fails):
+def test_sparse_non_convergence_is_a_linalg_error(lanczos_fails):
     lap, deg = random_laplacian(np.random.default_rng(50), 8)
     with pytest.raises(np.linalg.LinAlgError, match="Lanczos solve did not converge"):
         generalized_eig(sparse.csr_matrix(lap), deg, 2)
+
+
+def test_sparse_solve_returns_a_multiple_kernel_exactly():
+    # the 4-NN graph of these 80 circle points has 3 components, so
+    # eigenvalue 0 is two-fold off the constant, and the next one is 8e-9:
+    # one Krylov sequence holds only one direction of the kernel, and a
+    # solve that misses the other returns 8e-9 in its place
+    ds = gen_circles(40, [1.0, 2.0], 0.02, seed=1)
+    g = knn_graph(ds.points, 4)
+    aug = build_augmented(np.zeros((0, 80)), heat_weights(g, ds.points, median_eps(g, ds.points)), 1.0)
+    lap, deg = sparse.csr_matrix(aug.lap), aug.deg
+    with pytest.warns(RuntimeWarning, match="not unique"):
+        sol = generalized_eig(lap, deg, 3, exclude_ones=True)
+    vals, _ = dense_oracle(lap.toarray(), deg, 4)
+    assert vals[3] > 1e-9 and np.abs(sol.values - vals[1:]).max() <= 1e-12
+    U = sol.vectors
+    R = lap @ U - deg[:, None] * U * sol.values[None, :]
+    assert np.abs(R).max() < 1e-10
+    assert np.abs(U.T @ (deg[:, None] * U) - np.eye(3)).max() < 1e-10
+    assert np.abs(U.T @ deg).max() < 1e-10
+
+
+def test_sparse_solves_of_small_disconnected_graphs_match_dense():
+    # every count, with and without the constant, on 1 to 3 components:
+    # the kernel vectors, the Lanczos basis beside them and the full-solve
+    # fallback when there is no room for it
+    rng = np.random.default_rng(52)
+    for trial in range(30):
+        blocks = [random_laplacian(rng, int(q)) for q in rng.integers(2, 7, rng.integers(1, 4))]
+        lap = sparse.block_diag([b[0] for b in blocks], format="csr")
+        deg = np.concatenate([b[1] for b in blocks])
+        p = lap.shape[0]
+        for exclude_ones in (False, True):
+            for count in range(1, p - exclude_ones + 1):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # repeated eigenvalue 0
+                    sol = generalized_eig(lap, deg, count, exclude_ones=exclude_ones)
+                vals, _ = dense_oracle(lap.toarray(), deg, count + exclude_ones)
+                assert np.abs(sol.values - vals[exclude_ones:]).max() < 1e-9
+                U = sol.vectors
+                assert np.abs(lap @ U - deg[:, None] * U * sol.values).max() < 1e-9
+                assert np.abs(U.T @ (deg[:, None] * U) - np.eye(count)).max() < 1e-9
+                if exclude_ones:
+                    assert np.abs(U.T @ deg).max() < 1e-9
