@@ -6,6 +6,7 @@ matrices are stored as float64 even when the source file holds integers.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,12 @@ class _PassthroughRemap(dict):
 PASSTHROUGH_REMAP = _PassthroughRemap()
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
+def _readonly(a, dtype) -> np.ndarray:
+    """A read-only C-contiguous copy of `a` as `dtype`; the caller's array
+    is never frozen or aliased."""
+    out = np.array(a, dtype=dtype, order="C")
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -51,8 +54,8 @@ class LabeledDataset:
     num_classes: int
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        labs = np.asarray(self.labels, dtype=np.int64)
+        pts = _readonly(self.points, np.float64)
+        labs = _readonly(self.labels, np.int64)
         if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] < 1:
             raise ValueError("points must be an n x d matrix with n >= 2, d >= 1")
         if not np.all(np.isfinite(pts)):
@@ -67,8 +70,8 @@ class LabeledDataset:
             )
         if not np.any(labs > 0):
             raise ValueError("dataset has no labeled points")
-        object.__setattr__(self, "points", _readonly(pts))
-        object.__setattr__(self, "labels", _readonly(labs))
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "labels", labs)
 
     @property
     def n(self) -> int:
@@ -102,9 +105,60 @@ def read_points(path, remap: dict[int, int] | None = None):
 
     Raises ValueError with a 1-based line number for ragged rows,
     non-numeric tokens, non-integer labels, or labels outside the remap.
+
+    The file is parsed in one numpy pass. numpy's parsers accept no token
+    that `float()` and `int()` reject, so any file that pass refuses or
+    finds irregular goes to a line loop, which words the error and also
+    reads the few tokens only Python accepts (such as `1_0`).
     """
     if remap is None:
         remap = SATIMAGE_REMAP
+    try:
+        parsed = _read_points_numpy(path, remap)
+    except (ValueError, OverflowError, DeprecationWarning):
+        # UnicodeDecodeError is a ValueError
+        parsed = None
+    return _read_points_loop(path, remap) if parsed is None else parsed
+
+
+def _read_points_numpy(path, remap):
+    """One `np.loadtxt` pass; None when the file has no rows, a single
+    column or a label outside the remap. The structured dtype parses the
+    label column with numpy's integer parser, which rejects `7.0` and `7e0`
+    as `int()` does. Some numpy releases instead read such a label through
+    a float with a DeprecationWarning; that warning is raised as an error,
+    so the file goes to the loop on every release."""
+    with open(path, "r", encoding="ascii") as fh:
+        line = fh.readline()
+        while line and not line.split():
+            line = fh.readline()
+        width = len(line.split())
+        if width < 2:
+            return None
+        fh.seek(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(
+                fh,
+                comments=None,
+                ndmin=1,
+                dtype=[("x", np.float64, (width - 1,)), ("y", np.int64)],
+            )
+    codes, inverse = np.unique(table["y"], return_inverse=True)
+    mapped = []
+    for lab in codes.tolist():
+        if lab != 0:
+            if lab not in remap:
+                return None
+            lab = remap[lab]
+        mapped.append(lab)
+    labels = np.asarray(mapped, dtype=np.int64)[inverse]
+    return np.ascontiguousarray(table["x"]), labels
+
+
+def _read_points_loop(path, remap):
+    """`read_points` one line at a time, with a line-numbered error for the
+    first bad row."""
     rows: list[list[float]] = []
     labels: list[int] = []
     width = None
@@ -166,8 +220,8 @@ def load_statlog(path, remap: dict[int, int] | None = None) -> LabeledDataset:
 
 def _fmt(v: float) -> str:
     # Integers round-trip as integers so integer-valued files survive
-    # a save/load cycle bit for bit.
-    if v == int(v) and abs(v) < 2**53:
+    # a save/load cycle bit for bit; -0.0 keeps its sign through repr.
+    if v == int(v) and abs(v) < 2**53 and (v != 0 or not np.signbit(v)):
         return str(int(v))
     return repr(float(v))
 

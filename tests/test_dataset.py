@@ -1,10 +1,15 @@
 """Dataset loading, synthesis, indicators, and the whitespace text format."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ccdr.dataset import (
     _indicator,
+    _read_points_loop,
+    _read_points_numpy,
     PASSTHROUGH_REMAP,
     SATIMAGE_REMAP,
     LabeledDataset,
@@ -125,6 +130,169 @@ def test_float_round_trip_is_exact(tmp_path):
     save_statlog(ds, p)
     ds2 = load_statlog(p, {1: 1, 2: 2})
     assert np.array_equal(ds.points, ds2.points)
+
+
+@pytest.mark.parametrize("reader", [_read_points_numpy, _read_points_loop])
+def test_round_trip_is_bit_identical_on_both_parsers(tmp_path, reader):
+    rng = np.random.default_rng(102)
+    points = np.vstack([
+        rng.integers(-255, 256, (8, 4)).astype(np.float64),
+        rng.standard_normal((8, 4)) * 10.0 ** rng.integers(-300, 300, (8, 4)),
+        [[-0.0, 0.0, -5e-324, 2.0**53], [-(2.0**53) + 1, 1e308, -2.5, 0.1]],
+    ])
+    ds = LabeledDataset(points, rng.integers(0, 4, 18), 3)
+    p = tmp_path / "r.txt"
+    save_statlog(ds, p)
+    pts, labs = reader(p, PASSTHROUGH_REMAP)
+    assert pts.tobytes() == ds.points.tobytes()
+    assert labs.tobytes() == ds.labels.tobytes()
+
+
+def test_negative_zero_survives_a_round_trip(tmp_path):
+    ds = LabeledDataset(np.array([[-0.0, 1.0], [0.0, -0.0]]), [1, 2], 2)
+    p = tmp_path / "z.txt"
+    save_statlog(ds, p)
+    assert np.signbit(load_statlog(p, PASSTHROUGH_REMAP).points).tolist() == [
+        [True, False],
+        [False, True],
+    ]
+
+
+def test_numpy_pass_reads_savetxt_files(tmp_path):
+    rng = np.random.default_rng(103)
+    X = rng.standard_normal((50, 6)) * 40.0 + 80.0
+    lab = rng.choice([0, 1, 2, 3, 4, 5, 7], 50)
+    p = tmp_path / "s.txt"
+    np.savetxt(p, np.column_stack([X, lab]), fmt=["%.17g"] * 6 + ["%d"])
+    pts, labs = _read_points_numpy(p, SATIMAGE_REMAP)
+    ref_pts, ref_labs = _read_points_loop(p, SATIMAGE_REMAP)
+    assert pts.tobytes() == ref_pts.tobytes() == X.tobytes()
+    assert labs.tobytes() == ref_labs.tobytes()
+    assert pts.flags.c_contiguous
+
+
+def test_integer_via_float_warning_sends_the_file_to_the_loop(tmp_path, monkeypatch):
+    # Some numpy releases read a `1.0` integer field through a float and
+    # only warn; emulate one so the fast path must refuse the file.
+    def lenient_loadtxt(fh, *, dtype, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        rows = [line.split() for line in fh if line.split()]
+        table = np.zeros(len(rows), dtype=dtype)
+        table["x"] = [[float(t) for t in r[:-1]] for r in rows]
+        table["y"] = [int(float(r[-1])) for r in rows]
+        return table
+
+    p = tmp_path / "f.txt"
+    p.write_text("1 2 1.0\n3 4 2\n")
+    monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+    with pytest.raises(ValueError, match="line 1: label must be an integer"):
+        read_points(p, {1: 1, 2: 2})
+
+
+def test_tokens_only_python_reads_fall_back_to_the_loop(tmp_path):
+    p = tmp_path / "u.txt"
+    p.write_text("1_0 2 1\n3 4 1_0\n")
+    with pytest.raises(ValueError, match="1_0"):
+        _read_points_numpy(p, PASSTHROUGH_REMAP)
+    pts, labs = read_points(p, PASSTHROUGH_REMAP)
+    assert pts.tolist() == [[10.0, 2.0], [3.0, 4.0]]
+    assert labs.tolist() == [1, 10]
+
+
+# Tokens on which float()/int() and numpy's parsers were probed: both accept
+# the first group, both reject the second, only Python accepts the third.
+_BOTH_ACCEPT = ["nan", "-nan", "+nan", "Infinity", "-inf", "iNf", "1e500", "-1e-400",
+                ".5", "5.", "+7", "07", "-0", "0", "1", "2", "7", "1e3", "2.5"]
+_BOTH_REJECT = ["0x1p3", "1.5d3", "1e", "nan(1)", "1.0f", "x", "1,2", "#1", "'1'",
+                "1\x002", "--1", "infinit", "", "99999999999999999999"]
+_PYTHON_ONLY = ["1_0", "7_0", "\u0661", "\uff17", "1\u00e9"]
+# Floats that neither parser takes for an integer label.
+_NOT_LABELS = ["7.0", "7e0", "1.0", "2e0", "0.0", "1.", "+2.", "1.5", "nan", "inf"]
+_SEPARATORS = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"]
+_ENDINGS = ["\n", "\r\n", "\r"]
+_CLEAN_FLOATS = st.one_of(
+    st.sampled_from(_BOTH_ACCEPT),
+    st.floats(allow_nan=False).map(repr),
+    st.floats(allow_nan=False).map(lambda v: "%.17g" % v),
+    st.integers(-300, 300).map(str),
+)
+_CLEAN_LABELS = st.sampled_from(["0", "1", "2", "+1", "02", "-0"])
+_ANY_TOKEN = st.one_of(
+    st.sampled_from(_BOTH_ACCEPT + _BOTH_REJECT + _PYTHON_ONLY + _NOT_LABELS),
+    st.integers(-2, 9).map(str),
+    st.integers(-2**70, 2**70).map(str),
+    st.text(alphabet="0123456789.eE+-_naifx", max_size=6),
+)
+
+
+@st.composite
+def statlog_text(draw):
+    """A file of rows of clean tokens, every row as wide as the first, with
+    blank lines, mixed separators and line endings; in most files one token
+    is then replaced by an arbitrary one or one row loses or gains a column."""
+    width = draw(st.integers(1, 4))
+    rows = [
+        [draw(_CLEAN_FLOATS) for _ in range(width - 1)] + [draw(_CLEAN_LABELS)]
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    if rows and draw(st.integers(0, 3)) > 0:
+        row = draw(st.sampled_from(rows))
+        if draw(st.integers(0, 3)) > 0:
+            row[draw(st.sampled_from([0, -1]))] = draw(_ANY_TOKEN)
+        elif draw(st.booleans()) and width > 1:
+            row.pop()
+        else:
+            row.append(draw(_ANY_TOKEN))
+    lines = []
+    for row in rows:
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\x0b", "\x1c", "\x0c"])))
+        lead = draw(st.sampled_from(["", " ", "\x1f"]))
+        lines.append(lead + draw(st.sampled_from(_SEPARATORS)).join(row))
+    ending = draw(st.sampled_from(_ENDINGS))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+def _outcome(reader, path, remap):
+    try:
+        pts, labs = reader(path, remap)
+    except Exception as e:  # the exact type and message are compared
+        return type(e), str(e)
+    return pts.dtype, pts.shape, pts.tobytes(), labs.dtype, labs.tobytes()
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    statlog_text(),
+    st.sampled_from([SATIMAGE_REMAP, {1: 1, 2: 2}, PASSTHROUGH_REMAP]),
+)
+@example("1_0 2 1\n3 4 7_0\n", PASSTHROUGH_REMAP)
+@example("1 2 1.0\n3 4 2\n", {1: 1, 2: 2})
+@example("1 2 7e0\n", SATIMAGE_REMAP)
+@example("1 2 1\n3 4 2 #x\n", {1: 1, 2: 2})
+@example("1 1 7\n2 2 5\n", SATIMAGE_REMAP)
+@example("1 2 0\n3 4 0\n", {1: 1})
+@example("\u0661 2 1\n", {1: 1})
+@example("1 2 99999999999999999999\n", PASSTHROUGH_REMAP)
+@example("\r\n1\x1c2 1\r\n\x0b\r\n-nan\x0b-1e-400\t+2\r\n", {1: 1, 2: 2})
+def test_read_points_matches_the_line_loop(tmp_path_factory, text, remap):
+    p = tmp_path_factory.mktemp("parity") / "p.txt"
+    p.write_bytes(text.encode("utf-8"))
+    assert _outcome(read_points, p, remap) == _outcome(_read_points_loop, p, remap)
+
+
+def test_dataset_does_not_freeze_or_alias_callers_arrays():
+    X = np.zeros((4, 2))
+    y = np.array([1, 1, 2, 2])
+    ds = LabeledDataset(X, y, 2)
+    view = LabeledDataset(X[1:], y[1:], 2)
+    assert X.flags.writeable and y.flags.writeable
+    X[:] = 5.0
+    y[:] = 0
+    assert not ds.points.any() and not view.points.any()
+    assert ds.labels.tolist() == [1, 1, 2, 2] and view.labels.tolist() == [1, 2, 2]
+    assert not ds.points.flags.writeable and not view.labels.flags.writeable
 
 
 def test_read_points_returns_features_and_labels(tmp_path):
