@@ -104,7 +104,8 @@ def read_points(path, remap: dict[int, int] | None = None):
     the satimage table).
 
     Raises ValueError with a 1-based line number for ragged rows,
-    non-numeric tokens, non-integer labels, or labels outside the remap.
+    non-numeric tokens, non-integer labels, labels outside the remap, or
+    labels that do not fit a 64-bit integer.
 
     The file is parsed in one numpy pass. numpy's parsers accept no token
     that `float()` and `int()` reject, so any file that pass refuses or
@@ -198,6 +199,11 @@ def _read_points_loop(path, remap):
                         % (path, lineno, lab)
                     )
                 lab = remap[lab]
+            if not -(2**63) <= lab < 2**63:
+                raise ValueError(
+                    "%s: line %d: label %d does not fit a 64-bit integer"
+                    % (path, lineno, lab)
+                )
             rows.append(feats)
             labels.append(lab)
     if not rows:

@@ -7,6 +7,7 @@ nearest neighbours of j or vice versa (union symmetrization).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,11 +15,13 @@ from scipy.sparse import csr_matrix
 from scipy.spatial.distance import cdist
 
 # Query rows per _nearest block are sized so one block holds about this
-# many distances (8 MiB of float64), never the full q x n matrix. At
-# n = 4435 that is 236 rows, a GEMM large enough to run near full speed:
-# on 2 vCPUs, embed_many + predict over 2000 queries in batches of 250 took
-# 88-95 ms at 2^18, 72-77 ms at 2^19 and 65-70 ms at 2^20.
-_BLOCK_ENTRIES = 1 << 20
+# many distances, never the full q x n matrix: 8 MiB of the float32
+# screen, 16 MiB on the exact cdist path. At n = 4435 that is 472 rows,
+# so a 250-query batch is one block. On 2 vCPUs (satimage-clustered,
+# medians of 314 interleaved runs) knn_graph took 41.0, 36.9, 34.0 and
+# 32.8 ms at 2^19, 2^20, 2^21 and 2^22, and a 250-query batch 2.60, 2.36,
+# 2.11 and 2.11 ms; 2^22 would add 8 MiB to the peak for 1 ms.
+_BLOCK_ENTRIES = 1 << 21
 
 # Calls with less work than this, counted as q * n * d multiply-adds for q
 # queries against n training points in d dimensions, compute every block
@@ -30,12 +33,18 @@ _BLOCK_ENTRIES = 1 << 20
 # against the satimage-sized training set (4435 x 36) stay on cdist.
 _SCREEN_MIN_WORK = 1 << 20
 
-# Each row's k-th value is bounded from the minima of g = max(_GROUPS, 4k)
-# column groups (_kth_upper), and the screen scans only the groups whose
-# minimum is at or below the row's threshold (_at_or_below). At n = 4435,
-# k = 4 on 2 vCPUs (medians of seven runs), knn_graph took 73, 69 and 68 ms
-# with 64, 128 and 256 groups, and the 2000-query pass above 68, 63 and
-# 66 ms: no count stands out from the runs' spread.
+# Each row's k-th value is bounded from the minima of
+# g = max(_GROUPS, 4k, n // 16) column groups (_groups, _kth_upper), and
+# the screen scans only the groups whose minimum is at or below the row's
+# threshold (_at_or_below), w = n // g columns of each. Both passes are
+# bound by memory and per-call overhead, not arithmetic: few groups make
+# the minima's inner loops short and the scan gather many strided columns
+# per candidate group; many groups make the minima and their partition
+# large. On 2 vCPUs (satimage-clustered, k = 4, medians of 249 interleaved
+# runs) knn_graph at n = 4435 took 41.3, 42.6, 36.0, 36.5 and 52.9 ms with
+# g = 64, n // 8, n // 16, n // 32 and n // 4, and a 250-query batch 2.61,
+# 2.45, 2.20, 2.26 and 3.27 ms. At n = 1000 the rule keeps g = 64; n // 4
+# took knn_graph there from 4.2 to 4.5 ms.
 _GROUPS = 64
 
 
@@ -69,20 +78,23 @@ class WeightMatrix:
 
 
 _U = 2.0**-53  # unit roundoff of float64
-_ETA = 2.0**-1074  # smallest subnormal; bounds the error of one underflow
+_ETA = 2.0**-1074  # smallest float64 subnormal; bounds one underflow's error
+_V = 2.0**-24  # unit roundoff of float32
+_ETA32 = 2.0**-149  # smallest float32 subnormal
 
 
-def _gamma(m: int) -> float:
+def _gamma(m: int, unit: float = _U) -> float:
     """Higham's gamma_m = m u / (1 - m u), the relative error of m roundings."""
-    return m * _U / (1 - m * _U)
+    return m * unit / (1 - m * unit)
 
 
 class _TrainIndex:
     """The training side of the neighbour search on the rows of X: the mean
-    mu, the augmented rows [-2 xc, ||xc||^2] of xc = fl(x - mu), a bound on
-    max ||xc||^2 and a column-major copy of X. Every route reads X through
-    it, so X must not change while the index is in use; a fitted model and
-    a KnnClassifier build one each, on read-only arrays, and reuse it.
+    mu, the float32 rows [-2 b', fl32(||b'||^2)] of b' = fl32(s fl(x - mu))
+    for an exact power of two s, the screen's error constants, norm bounds
+    and a column-major copy of X. Every route reads X through it, so X must
+    not change while the index is in use; a fitted model and a
+    KnnClassifier build one each, on read-only arrays, and reuse it.
     Non-finite training points are an error.
     """
 
@@ -91,116 +103,153 @@ class _TrainIndex:
         n, d = X.shape
         self.X = X
         self.mu = X.mean(axis=0)
-        self.Xa = np.empty((n, d + 1))
-        xc = self.Xa[:, :d]
-        np.subtract(X, self.mu, out=xc)
-        self.Xa[:, d] = np.einsum("ij,ij->i", xc, xc)
-        xc *= -2.0  # exact: a power-of-two scaling
-        self.b_up = (self.Xa[:, d].max() + d * _ETA) / (1.0 - _gamma(d))
+        xc = X - self.mu
+        # float64 bound on max ||xc||^2: keeps a screened block's cdist finite
+        xx = np.einsum("ij,ij->i", xc, xc)
+        self.b_up = (xx.max() + d * _ETA) / (1.0 - _gamma(d))
+        # s = 2^p takes max |xc| into [1/2, 1); p <= 450 keeps s^2 eta below
+        # eta', p >= -1022 keeps s a normal float
+        top = float(np.abs(xc).max(initial=0.0))
+        p = min(max(-math.frexp(top)[1], -1022), 450)
+        self.s = 2.0**p
+        # a query row is screened when s^2 times its float64 norm bound is at
+        # most 2^100 (capped at 2^1023, where s^2 2^1023 < 2^100 anyway), and
+        # no row when d >= 2^22 (the bound needs d v small)
+        self.a_max = math.ldexp(1.0, min(100 - 2 * p, 1023)) if d < 1 << 22 else -1.0
+        self.Xa = np.empty((n, d + 1), dtype=np.float32)
+        b = self.Xa[:, :d]
+        np.multiply(xc, self.s, out=b, casting="same_kind")
+        # squares of float32 numbers are exact in float64
+        bb = np.einsum("ij,ij->i", b, b, dtype=np.float64)
+        self.Xa[:, d] = bb
+        b *= -2.0  # exact: a power-of-two scaling
+        self.b32_up = bb.max() / (1.0 - _gamma(d))
+        # |S_ij + ||a'_i||^2 - s^2 c_ij| <= kappa N_i + lam (_Screen's proof)
+        w = _V + 2 * _U
+        h = 2.0 * math.sqrt(d) * _ETA32
+        k2 = w * (2.0 + w) + _gamma(d + 2) + (1.0 + w) * h
+        self.kappa = (3.0 * _gamma(d + 1, _V) + _V + 2.0 * _gamma(d)
+                      + 2.0 * (1.0 + h) * k2 / (1.0 - w) ** 2)
+        self.lam = 16.0 * (d + 1) * _ETA32
         # column-major copy for the refine's one-coordinate gathers
         self.XT = np.ascontiguousarray(X.T)
 
 
 class _Screen:
-    """Certified GEMM screen of queries Q against a _TrainIndex, one block
-    of query rows at a time.
+    """Certified float32 GEMM screen of queries Q against a _TrainIndex,
+    one block of query rows at a time.
 
-    On points centred on the training mean, one BLAS product per block gives
-    S_ij = qc_i . (-2 xc_j) + ||xc_j||^2, so that S_ij + ||qc_i||^2
-    approximates the squared distance D_ij = ||q_i - x_j||^2; the row
-    constant ||qc_i||^2 does not change the order. Column j is a candidate
-    of row i when S_ij <= T_i, a threshold that provably keeps every column
-    whose cdist value c_ij is at or below the row's k-th smallest. The
-    (distance, index) rule on the candidates' cdist values then picks the
-    same k columns, with the same values, as on all n columns.
+    The points are centred on the training mean, scaled by the index's
+    power of two s and rounded to float32: a' per query, b' per training
+    point. One float32 product per block gives
+    S_ij = a'_i . (-2 b'_j) + fl32(||b'_j||^2), so that S_ij + ||a'_i||^2
+    approximates s^2 D_ij for the squared distance D_ij = ||q_i - x_j||^2;
+    the row constant ||a'_i||^2 does not change the order. Column j is a
+    candidate of row i when S_ij <= T_i, a threshold that provably keeps
+    every column whose cdist value c_ij is at or below the row's k-th
+    smallest. The (distance, index) rule on the candidates' cdist values
+    then picks the same k columns, with the same values, as on all n
+    columns.
 
-    Proof. u = 2^-53, gamma_m = m u / (1 - m u), eta = 2^-1074, d columns.
-    a = fl(q - mu) and b = fl(x - mu) for the computed mean mu; A = ||a||^2,
-    B = max_j ||b_j||^2, N = A + B. No bound depends on the order of a sum
-    or on fused multiply-adds; an underflowing product adds at most eta / 2.
-    (1) cdist sums the d nonnegative terms fl(q_t - x_t)^2, so
-        |c - D| <= g' D + d eta with g' = gamma_{d+2}.
-    (2) Centring: a_t = alpha_t (1 + delta_t) with alpha = q - mu and
-        |delta_t| <= u, likewise b from beta = x - mu. With
-        e = (a - b) - (alpha - beta), ||e|| <= u (||alpha|| + ||beta||) and
-        | ||a - b||^2 - D | <= 2 ||alpha - beta|| ||e|| + ||e||^2
-        <= (4u + 2u^2)(||alpha||^2 + ||beta||^2) <= gamma_5 N,
-        as ||alpha||^2 <= A / (1 - u)^2.
-    (3) The product: S is the d + 1 term dot product of [a, 1] with
-        [-2b, xx], where xx = fl(||b||^2) is off by at most gamma_d N + d eta.
-        As 2 sum |a_t b_t| <= 2 ||a|| ||b|| <= N, S is off from
-        S* = ||a - b||^2 - A by at most
-        gamma_{d+1} (N + (1 + gamma_d) N) + gamma_d N + 3 d eta
-        <= 3 gamma_{d+2} N + 3 d eta.
-    So |S_ij + A_i - D_ij| <= E_i = 4 gamma_{d+5} N_i + 3 d eta.
+    Proof. u = 2^-53 and v = 2^-24 are the unit roundoffs of float64 and
+    float32, gamma_m = m u / (1 - m u) and gamma'_m = m v / (1 - m v);
+    eta = 2^-1074 and eta' = 2^-149 are their smallest subnormals, and a
+    rounding that underflows is off by at most half of one. d columns, mu
+    the computed mean, s = 2^p with p <= 450. alpha = s (q - mu) and
+    beta = s (x - mu) are exact, so ||alpha - beta||^2 = s^2 D;
+    A' = ||a'||^2, B' = max_j ||b'_j||^2, and N_i >= A'_i + B'. No bound
+    depends on the order of a sum or on fused multiply-adds.
+    (1) Inputs: a'_t = fl32(s fl(q_t - mu_t)), where the scaling is exact
+        but may underflow, so |a'_t - alpha_t| <= w |alpha_t| + eta' with
+        w = v + 2u; likewise b'. So e = (a' - b') - (alpha - beta) has
+        ||e|| <= w R + h with R = ||alpha|| + ||beta||, h = 2 sqrt(d) eta',
+        and | ||a' - b'||^2 - s^2 D | <= 2 R ||e|| + ||e||^2. From
+        ||alpha|| <= (||a'|| + sqrt(d) eta') / (1 - w) and the same for
+        beta, R <= (sqrt(2 N) + h) / (1 - w).
+    (2) The product: S is the (d + 1)-term float32 dot product of [a', 1]
+        with [-2 b', xx], xx = fl32(fl64(||b'||^2)). Squares of float32
+        numbers are exact in float64, so |xx - ||b'||^2| <= w_d ||b'||^2 +
+        eta' / 2 with w_d = v + 2 gamma_d. The product is off by at most
+        gamma'_{d+1} (2 ||a'|| ||b'|| + xx) + (d + 1) eta', and
+        ||a' - b'||^2 - A' = -2 a'.b' + ||b'||^2, so
+        |S + A' - ||a' - b'||^2| <= (3 gamma'_{d+1} + w_d) N + (d + 2) eta'.
+    (3) cdist sums the d nonnegative terms fl(q_t - x_t)^2, so
+        s^2 |c - D| <= gamma_{d+2} s^2 D + s^2 d eta, and s^2 eta <= eta'.
+    With s^2 D <= R^2, 2R <= 1 + R^2 and 2 sqrt(2N) <= 1 + 2N, (1)-(3) give
+        |S_ij + A'_i - s^2 c_ij| <= E_i = kappa N_i + lambda,
+        kappa = 3 gamma'_{d+1} + w_d + 2 (1 + h) k2 / (1 - w)^2,
+        k2 = w (2 + w) + gamma_{d+2} + (1 + w) h, lambda = 16 (d + 1) eta'
+        (the terms in h and eta' alone, with k2 <= 1 and h <= 1).
     Let u_i be any value at or above the row's k-th smallest S that k
     distinct columns J attain, S_ij <= u_i for j in J (_kth_upper gives
-    one). For j in J, D_ij <= u_i + A_i + E_i, so by (1)
-    c_ij <= U_i = (1 + g')(u_i + A_i + E_i) + d eta: the row's k-th
-    smallest c is at most U_i. A column with c_ij <= U_i has
-    D_ij <= (U_i + d eta) / (1 - g'), so
-    S_ij <= D_ij - A_i + E_i <= T_i = (U_i + d eta) / (1 - g') - A_i + E_i.
-    With r = (1 + g') / (1 - g') and W_i = u_i + A_i + E_i >= 0,
-        T_i = u_i + (r - 1) W_i + 2 E_i + 2 d eta / (1 - g').
-    Computed: A and N are replaced by upper bounds from their computed
-    values, (x + d eta) / (1 - gamma_d) per computed norm, and W_i by
-    |u_i| + A_i + E_i. The margin T_i - u_i is then made of nonnegative
-    floats with fewer than 32 roundings, so the computed margin times
-    1 + 64u, rounded once more, is an upper bound; u_i + margin is rounded
-    to nearest and stepped one float up, an upper bound too.
+    one). For j in J, s^2 c_ij <= u_i + A'_i + E_i, so the row's k-th
+    smallest c is at most (u_i + A'_i + E_i) / s^2. A column with c_ij at
+    or below that has S_ij <= s^2 c_ij - A'_i + E_i <= T_i = u_i + 2 E_i.
+    Computed: N_i adds fl64(||a'_i||^2) / (1 - gamma_d) and the same bound
+    on B'; 2 E_i is then made of nonnegative floats with fewer than 32
+    roundings, so the computed value times 1 + 64u, rounded once more, is
+    an upper bound. u_i + 2 E_i is summed in float64, rounded to float32
+    and stepped one float32 up, which lands above the exact sum.
     Scan: the columns before the last whole group are split into groups
     (_kth_upper), and a column with S_ij <= T_i lies in a group whose
     minimum is at most S_ij, so at most T_i. Comparing the columns of those
     groups and every column after the last whole group therefore finds
     every column with S_ij <= T_i, and no other (_at_or_below).
-    Nothing overflows while 8 N_i is finite: every partial sum of the
-    product and every |S_ij| is at most 2 N_i + E_i, and T_i at most 4 N_i.
-    A block where 8 N_i is not finite takes the exact path.
+    Range: s takes every |b'_t| to at most 4, so B' <= 16 d. A query row is
+    screened only when s^2 A_i <= 2^100 for the float64 bound A_i on
+    ||fl(q_i - mu)||^2, so A'_i <= 2^101, and only while d < 2^22; then
+    every partial sum of the product, every |S_ij| and T_i are below
+    8 N_i < 2^105, far inside float32. It is also screened only while
+    8 (A_i + B) is finite for the float64 bound B on max ||fl(x - mu)||^2,
+    so no cdist value overflows. A block holding any other row takes the
+    exact path, and those rows are zeroed before the cast.
     """
 
     def __init__(self, Q: np.ndarray, index: _TrainIndex):
         (q, d), n = Q.shape, index.X.shape[0]
         self.index = index
-        # [qc, 1] against [-2 xc, ||xc||^2]: one product gives S, ||xc||^2 included
-        self.Qa = np.empty((q, d + 1))
-        qc = self.Qa[:, :d]
-        np.subtract(Q, index.mu, out=qc)
+        qc = Q - index.mu
+        a_up = (np.einsum("ij,ij->i", qc, qc) + d * _ETA) / (1.0 - _gamma(d))
+        self.ok = np.isfinite(8.0 * (a_up + index.b_up)) & (a_up <= index.a_max)
+        qc[~self.ok] = 0.0
+        # [a', 1] against [-2 b', ||b'||^2]: one product gives S, ||b'||^2 included
+        self.Qa = np.empty((q, d + 1), dtype=np.float32)
+        a = self.Qa[:, :d]
+        np.multiply(qc, index.s, out=a, casting="same_kind")
         self.Qa[:, d] = 1.0
-        self.a_up = (np.einsum("ij,ij->i", qc, qc) + d * _ETA) / (1.0 - _gamma(d))
-        n_up = self.a_up + index.b_up
-        self.err = 4.0 * _gamma(d + 5) * n_up + 3.0 * d * _ETA
-        self.finite = np.isfinite(8.0 * n_up)
-        g = _gamma(d + 2)
-        self.r1 = 2.0 * g / (1.0 - g)  # r - 1
-        self.tail = 2.0 * d * _ETA / (1.0 - g)
+        aa = np.einsum("ij,ij->i", a, a, dtype=np.float64)
+        n_up = aa / (1.0 - _gamma(d)) + index.b32_up
+        self.margin = 2.0 * (index.kappa * n_up + index.lam) * (1.0 + 64 * _U)
         self.QT = np.ascontiguousarray(Q.T)
         # the screen, reused by every block
         step = max(1, _BLOCK_ENTRIES // n)
-        self.S = np.empty((min(step, q), n))
+        self.S = np.empty((min(step, q), n), dtype=np.float32)
 
     def candidates(self, s: int, e: int, k: int, skip_self: bool):
         """Candidates of query rows s:e as flat indices into the block's
         (e - s) x n distances and their cdist values, or None when the
         block takes the exact path."""
-        if not self.finite[s:e].all():
+        if not self.ok[s:e].all():
             return None
         b, n = e - s, self.S.shape[1]
         S = np.matmul(self.Qa[s:e], self.index.Xa.T, out=self.S[:b])
         if skip_self:
             S[np.arange(b), np.arange(s, e)] = np.inf
         u, mins = _kth_upper(S, k)
-        a_up, err = self.a_up[s:e], self.err[s:e]
-        margin = self.r1 * (np.abs(u) + a_up + err) + 2.0 * err + self.tail
-        margin *= 1.0 + 64 * _U
-        T = np.nextafter(u + margin, np.inf)
-        if not np.isfinite(T).all():
-            return None
+        T = u + self.margin[s:e]
+        T = np.nextafter(T.astype(np.float32), np.float32(np.inf))
         flat = _at_or_below(S, mins, T)
         # each candidate holds five 8-byte words (row, column, sum and two
-        # gathered coordinates); the cap keeps them under a block's memory
+        # gathered coordinates); the cap keeps them under the exact path's
+        # float64 block
         if flat.size > _BLOCK_ENTRIES // 8:
             return None
         return flat, _sq_dists(self.QT, self.index.XT, flat // n + s, flat % n)
+
+
+def _groups(n: int, k: int) -> int:
+    """The column-group count of _kth_upper for n columns and the k-th value."""
+    return max(_GROUPS, 4 * k, n // 16)
 
 
 def _kth_upper(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -208,14 +257,14 @@ def _kth_upper(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     entries of the row are at or below, and the column-group minima it is
     taken from, a (b, g) array.
 
-    Column j is in group j mod g, g = max(_GROUPS, 4k), for the first
-    w * g columns, w = n // g; the k-th smallest of the group minima is the
+    Column j is in group j mod g, g = _groups(n, k), for the first w * g
+    columns, w = n // g; the k-th smallest of the group minima is the
     value of k distinct columns. When n < 2g every column is its own group,
     the minima are S itself, and the value is the row's exact k-th
     smallest. A NaN entry never lowers a group's minimum.
     """
     b, n = S.shape
-    g = max(_GROUPS, 4 * k)
+    g = _groups(n, k)
     if n < 2 * g:
         mins = S  # one column per group: no copy of the block
     else:
@@ -278,14 +327,14 @@ def _nearest(
     Returns (q, k) indices and their cdist squared distances, the one
     formula every graph and kernel weight is computed from. Query rows go
     in blocks of about _BLOCK_ENTRIES distances. A call of at least
-    _SCREEN_MIN_WORK multiply-adds (q * n * d) screens each block with one GEMM
-    (_Screen) and computes cdist's bits for the candidates only; otherwise,
-    or when a block's screen is not finite or keeps too many candidates, the
-    block's candidates are the cdist values at or below _kth_upper's bound,
-    which is at or above each row's k-th smallest. Either way the
-    candidates hold every column at or below the k-th smallest cdist value,
-    and the rule is the same: sort each row's candidates by
-    (distance, index) and keep the first k. With skip_self, query i is row
+    _SCREEN_MIN_WORK multiply-adds (q * n * d) screens each block with one
+    float32 GEMM (_Screen) and computes cdist's bits for the candidates
+    only; otherwise, or when a block holds a row outside the screen's range
+    or keeps too many candidates, the block's candidates are the cdist
+    values at or below _kth_upper's bound, which is at or above each row's
+    k-th smallest. Either way the candidates hold every column at or below
+    the k-th smallest cdist value, and the rule is the same: sort each
+    row's candidates by (distance, index) and keep the first k. With skip_self, query i is row
     i of X and is not its own neighbour. Non-finite queries and a query
     dimension other than X's are errors.
     """

@@ -369,6 +369,14 @@ def test_config_file_rejects_non_assignment_lines(tmp_path, capsys):
     assert "line 1: expected key=value" in capsys.readouterr().err
 
 
+def test_load_check_reports_a_label_past_int64(tmp_path, capsys):
+    p = tmp_path / "big.txt"
+    p.write_text("1.0 2.0 1\n3.0 4.0 99999999999999999999\n")
+    assert main(["load-check", "--train", str(p), "--remap", "identity"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 2: label 99999999999999999999" in err
+
+
 def test_missing_required_option(capsys):
     rc = main(["synth"])
     assert rc == 2

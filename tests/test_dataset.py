@@ -282,6 +282,30 @@ def test_read_points_matches_the_line_loop(tmp_path_factory, text, remap):
     assert _outcome(read_points, p, remap) == _outcome(_read_points_loop, p, remap)
 
 
+@pytest.mark.parametrize("text, remap, lineno, label", [
+    ("1.0 2.0 1\n3.0 4.0 99999999999999999999\n", PASSTHROUGH_REMAP, 2, 10**20 - 1),
+    ("1.0 2.0 9223372036854775808\n", PASSTHROUGH_REMAP, 1, 2**63),
+    ("1.0 2.0 2\n3.0 4.0 1\n", {1: 2**64, 2: 2}, 2, 2**64),
+])
+def test_labels_past_int64_raise_a_line_numbered_error(tmp_path, text, remap, lineno, label):
+    p = tmp_path / "big.txt"
+    p.write_text(text)
+    # the numpy pass refuses the file, and the loop words the error
+    with pytest.raises((ValueError, OverflowError)):
+        _read_points_numpy(p, remap)
+    msg = "line %d: label %d does not fit a 64-bit integer" % (lineno, label)
+    for reader in (read_points, _read_points_loop):
+        with pytest.raises(ValueError, match=msg):
+            reader(p, remap)
+
+
+def test_largest_int64_label_reads_on_both_parsers(tmp_path):
+    p = tmp_path / "max.txt"
+    p.write_text("1.0 2.0 9223372036854775807\n")
+    for reader in (_read_points_numpy, _read_points_loop):
+        assert reader(p, PASSTHROUGH_REMAP)[1].tolist() == [2**63 - 1]
+
+
 def test_dataset_does_not_freeze_or_alias_callers_arrays():
     X = np.zeros((4, 2))
     y = np.array([1, 1, 2, 2])

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -311,13 +312,13 @@ def test_nearest_equals_full_stable_argsort_past_the_group_bound(problem):
     assert_nearest_follows_the_full_sort(*problem)
 
 
-@pytest.mark.parametrize("n", [5, 127, 128, 129, 200, 256, 273, 700])
+# from 1100 columns on, n // 16 > graph._GROUPS and the group count grows with n
+@pytest.mark.parametrize("n", [5, 127, 128, 129, 200, 256, 273, 700, 1100, 1553, 2047, 2100])
 def test_kth_upper_bounds_each_rows_kth_value(n):
     # integer values tie often, and inf stands for a skipped diagonal or an
     # overflowed distance; some rows hold fewer than k finite entries
     rng = np.random.default_rng(n)
-    g = graph._GROUPS
-    for k in sorted({1, 2, 5, 16, 17, 40, g, n - 1} & set(range(1, n))):
+    for k in sorted({1, 2, 5, 16, 17, 40, graph._GROUPS, n - 1} & set(range(1, n))):
         S = rng.integers(0, 6, (40, n)).astype(float)
         S[rng.random(S.shape) < 0.1] = np.inf
         S[np.arange(40), np.arange(40) % n] = np.inf
@@ -331,7 +332,8 @@ def test_kth_upper_bounds_each_rows_kth_value(n):
         assert np.all(np.count_nonzero(S <= u[:, None], axis=1) >= k)
         # the group-pruned scan finds every entry at or below the bound
         assert np.array_equal(graph._at_or_below(S, mins, u), np.flatnonzero(S <= u[:, None]))
-        if n < 2 * max(g, 4 * k):
+        assert mins.shape[1] == (n if n < 2 * graph._groups(n, k) else graph._groups(n, k))
+        if n < 2 * graph._groups(n, k):
             assert np.array_equal(u, kth)
 
 
@@ -413,15 +415,22 @@ def screened_nearest(Q, X, k, skip_self=False):
     return idx, d2, spy.called
 
 
+# n // 16 > graph._GROUPS, so the group count grows with n (n // 16 groups
+# for small k), and n is not a multiple of 16, so tail columns remain
+WIDE = st.integers(1100, 2100).filter(lambda v: v % 16)
+
+
 @st.composite
-def scan_problem(draw):
-    """n from 2g to 6g and not a multiple of g = graph._GROUPS, so rows are
-    scanned by whole groups plus tail columns; integer grids (ties) or
-    Gaussian points at mixed scales, with duplicate rows; k up to n - 1,
-    where 4k > n / 2 makes every column its own group. Some queries copy
-    training points."""
+def scan_problem(draw, sizes=None):
+    """n from 2g to 6g and not a multiple of g = graph._GROUPS unless sizes
+    is given, so rows are scanned by whole groups plus tail columns; integer
+    grids (ties) or Gaussian points at mixed scales, with duplicate rows; k
+    up to n - 1, where 4k > n / 2 makes every column its own group. Some
+    queries copy training points."""
     g = graph._GROUPS
-    n = draw(st.integers(2 * g, 6 * g).filter(lambda v: v % g))
+    if sizes is None:
+        sizes = st.integers(2 * g, 6 * g).filter(lambda v: v % g)
+    n = draw(sizes)
     d = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -435,64 +444,105 @@ def scan_problem(draw):
     return X, Q, draw(st.one_of(st.integers(1, 8), st.integers(1, n - 1)))
 
 
+def assert_scan_follows_the_full_sort(X, Q, k, rows=5):
+    # both routes, in blocks of `rows` query rows and in one block, against
+    # cdist plus a full stable sort
+    index = graph._TrainIndex(X)
+    for skip_self, queries in ((False, Q), (True, X)):
+        want_idx, want_d2 = cdist_sort_neighbors(queries, X, k, skip_self)
+        for route in ROUTES:
+            for block in (rows * X.shape[0], graph._BLOCK_ENTRIES):
+                with mock.patch.object(graph, "_SCREEN_MIN_WORK", route), \
+                        mock.patch.object(graph, "_BLOCK_ENTRIES", block):
+                    idx, d2 = graph._nearest(queries, index, k, skip_self=skip_self)
+                assert np.array_equal(idx, want_idx)
+                assert np.array_equal(d2, want_d2)
+
+
 @settings(max_examples=50, deadline=None)
 @given(scan_problem())
 def test_group_pruned_scan_follows_the_full_sort(problem):
-    # both routes, in blocks of five query rows and in one block, against
-    # cdist plus a full stable sort
-    X, Q, k = problem
-    index = graph._TrainIndex(X)
-    for route in ROUTES:
-        for block in (5 * X.shape[0], graph._BLOCK_ENTRIES):
-            with mock.patch.object(graph, "_SCREEN_MIN_WORK", route), \
-                    mock.patch.object(graph, "_BLOCK_ENTRIES", block):
-                for skip_self, queries in ((False, Q), (True, X)):
-                    idx, d2 = graph._nearest(queries, index, k, skip_self=skip_self)
-                    want_idx, want_d2 = cdist_sort_neighbors(queries, X, k, skip_self)
-                    assert np.array_equal(idx, want_idx)
-                    assert np.array_equal(d2, want_d2)
+    assert_scan_follows_the_full_sort(*problem)
+
+
+@settings(max_examples=10, deadline=None)
+@given(scan_problem(WIDE))
+def test_group_pruned_scan_follows_the_full_sort_with_groups_sized_to_n(problem):
+    assert_scan_follows_the_full_sort(*problem, rows=97)
 
 
 def _adversarial(case):
+    """(Q, X, k, and whether a screened search falls back to cdist for the
+    queries and for X against itself)."""
     rng = np.random.default_rng(17)
     if case == "offset 1e6":
         X = rng.standard_normal((400, 5)) + 1e6
-        return rng.standard_normal((300, 5)) + 1e6, X, 5, False
+        return rng.standard_normal((300, 5)) + 1e6, X, 5, False, False
     if case == "near duplicates":
         base = rng.standard_normal((200, 4))
         X = np.vstack([base, np.nextafter(base, np.inf)])  # x and x + 1 ulp
         Q = np.vstack([base[:60], np.nextafter(base[60:120], -np.inf)])
-        return Q, X, 3, False
+        return Q, X, 3, False, False
     if case == "d = 1":
-        return rng.standard_normal((300, 1)), rng.standard_normal((500, 1)), 7, False
+        return rng.standard_normal((300, 1)), rng.standard_normal((500, 1)), 7, False, False
     if case == "integer grid ties":
         X = rng.integers(0, 4, (600, 3)).astype(float)
-        return rng.integers(0, 4, (200, 3)).astype(float), X, 10, False
+        return rng.integers(0, 4, (200, 3)).astype(float), X, 10, False, False
     if case == "squares overflow":
         X = rng.standard_normal((300, 3)) * 1e155
-        return rng.standard_normal((40, 3)) * 1e155, X, 4, True
+        return rng.standard_normal((40, 3)) * 1e155, X, 4, True, True
     if case == "candidates over the cap":
         X = rng.standard_normal((3000, 2))
         X[0] = 1e9  # the far point's norm widens every row's margin past the spread
-        return rng.standard_normal((200, 2)), X, 4, True
+        return rng.standard_normal((200, 2)), X, 4, True, True
+    if case == "scale 1e30":
+        # float32 squares overflow and float64 ones do not; the index's
+        # power-of-two scaling brings the points into float32's range
+        X = rng.standard_normal((400, 4)) * 1e30
+        return rng.standard_normal((300, 4)) * 1e30, X, 5, False, False
+    if case == "scale 1e-120":
+        # float32 underflows unscaled
+        X = rng.standard_normal((400, 4)) * 1e-120
+        return rng.standard_normal((300, 4)) * 1e-120, X, 5, False, False
+    if case == "subnormal points":
+        # every square underflows, so every cdist value ties at 0; in float32
+        # the points round to 0, and every column is a candidate
+        X = rng.standard_normal((3000, 2)) * 1e-310
+        return rng.standard_normal((200, 2)) * 1e-310, X, 4, True, True
+    if case == "subnormal points, few columns":
+        X = rng.standard_normal((400, 3)) * 1e-310
+        return rng.standard_normal((300, 3)) * 1e-310, X, 5, False, False
+    if case == "mixed column scales":
+        scale = 10.0 ** rng.uniform(-30, 30, 6)
+        X = rng.standard_normal((500, 6)) * scale
+        return rng.standard_normal((300, 6)) * scale, X, 5, False, False
+    if case == "queries far outside":
+        # rows past float32's range at the training points' scale
+        X = rng.standard_normal((400, 3))
+        return rng.standard_normal((100, 3)) * 1e60, X, 4, True, False
     raise KeyError(case)
 
 
 @pytest.mark.parametrize("case", [
     "offset 1e6", "near duplicates", "d = 1", "integer grid ties",
-    "squares overflow", "candidates over the cap",
+    "squares overflow", "candidates over the cap", "scale 1e30", "scale 1e-120",
+    "subnormal points", "subnormal points, few columns", "mixed column scales",
+    "queries far outside",
 ])
 def test_screen_matches_the_full_sort_on_adversarial_inputs(case):
-    Q, X, k, falls_back = _adversarial(case)
-    idx, d2, fell_back = screened_nearest(Q, X, k)
+    Q, X, k, falls_back, self_falls_back = _adversarial(case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        idx, d2, fell_back = screened_nearest(Q, X, k)
+        self_idx, self_d2, self_fell_back = screened_nearest(X, X, k, skip_self=True)
     want_idx, want_d2 = cdist_sort_neighbors(Q, X, k)
     assert np.array_equal(idx, want_idx)
     assert np.array_equal(d2, want_d2)
     assert fell_back == falls_back
-    idx, d2, _ = screened_nearest(X, X, k, skip_self=True)
     want_idx, want_d2 = cdist_sort_neighbors(X, X, k, skip_self=True)
-    assert np.array_equal(idx, want_idx)
-    assert np.array_equal(d2, want_d2)
+    assert np.array_equal(self_idx, want_idx)
+    assert np.array_equal(self_d2, want_d2)
+    assert self_fell_back == self_falls_back
 
 
 def test_screen_bound_stays_tight_on_gaussian_data():
@@ -530,7 +580,7 @@ def test_screen_keeps_k_equal_n_in_sorted_neighbor_labels():
 def test_screened_search_memory_stays_at_the_block_scale():
     # q x n float64 is 48 MB here, and a (candidates x d) gather of one block
     # about 5 MB; the search may hold its inputs' copies, its outputs and a
-    # few blocks, never either
+    # few blocks of the float32 screen, never either
     rng = np.random.default_rng(29)
     X = rng.standard_normal((3000, 36))
     Q = rng.standard_normal((2000, 36))
@@ -544,7 +594,7 @@ def test_screened_search_memory_stays_at_the_block_scale():
     assert not fell_back
     outputs = 2 * Q.shape[0] * k * 8
     copies = 2 * (Q.nbytes + X.nbytes)
-    assert peak < outputs + copies + 4 * graph._BLOCK_ENTRIES * 8
+    assert peak < outputs + copies + 4 * graph._BLOCK_ENTRIES * 4
 
 
 def test_cdist_search_holds_one_block_of_distances():
