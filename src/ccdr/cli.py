@@ -3,8 +3,8 @@
 Every verb accepts --config FILE with key=value lines (keys are the long
 option names, dashes or underscores); explicit flags override file values.
 Relative data paths are also resolved against $CCDR_DATA_DIR when set.
-sweep and oos share one --oos option, one of embedding.OOS_MODES, for how
-query points reach a fitted graph model.
+oos embeds query points into a saved model through the closed-form
+extension from their k nearest training points.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .dataset import (
     read_points,
     save_statlog,
 )
-from .embedding import _check_oos, embed_many, load_model, save_model
+from .embedding import embed_many, load_model, save_model
 from .harness import ExperimentConfig, emit_report, fit_pipeline, run_sweep
 
 DATA_DIR_ENV = "CCDR_DATA_DIR"
@@ -100,7 +100,6 @@ _POINT_OPTIONS = {
     "pipelines": "pipeline", "classifiers": "classifier", "betas": "beta",
     "ms": "m", "graph_ks": "k", "clf_ks": "clf_k",
 }
-_SWEEP_ONLY = ("oos",)
 
 
 def _experiment_schema(sweep: bool) -> dict:
@@ -114,7 +113,7 @@ def _experiment_schema(sweep: bool) -> dict:
         "remap": ("satimage", str),
     }
     for f in fields(ExperimentConfig):
-        if f.name in _SPECIAL_FIELDS or (not sweep and f.name in _SWEEP_ONLY):
+        if f.name in _SPECIAL_FIELDS:
             continue
         name, default = f.name, f.default
         if not sweep and name in _POINT_OPTIONS:
@@ -158,7 +157,6 @@ _SCHEMAS = {
         "points": (None, str),
         "out": (None, str),
         "remap": ("satimage", str),
-        "oos": _SWEEP["oos"],
     },
     "classify": _CLASSIFY,
     "sweep": _SWEEP,
@@ -286,11 +284,10 @@ def _cmd_embed(opts) -> int:
 
 def _cmd_oos(opts) -> int:
     _require(opts, "model", "points", "out")
-    _check_oos(opts["oos"])
     model = load_model(_resolve(opts["model"]))
     remap = _parse_remap(opts["remap"])
     points, labels = read_points(_resolve(opts["points"]), remap=remap)
-    coords = embed_many(model, points, labels, opts["oos"])
+    coords = embed_many(model, points, labels)
     _write_embedding_csv(opts["out"], coords, labels)
     print("embedded %d query points; wrote %s" % (points.shape[0], opts["out"]))
     return 0

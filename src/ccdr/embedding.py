@@ -36,7 +36,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
 from .dataset import LabeledDataset, _indicator, class_counts
-from .graph import WeightMatrix, _TrainIndex, _check_finite, _heat_graph, kernel_rows
+from .graph import WeightMatrix, _TrainIndex, _heat_graph, kernel_rows
 from .graph import knn_graph  # noqa: F401  perfbench's tracer test patches this name
 from .spectral import EigenSolution, _warn_caller, generalized_eig
 
@@ -52,9 +52,6 @@ MODEL_FORMAT_VERSION = 1
 # 2 vCPUs the full eigh took 8.9-9.4 ms and the Lanczos solve 3.7-11 ms
 # for m = 2..14.
 DENSE_MAX_ORDER = 300
-
-# embed_many's routes from a query to a fitted model
-OOS_MODES = ("nearest", "refit")
 
 
 @dataclass(frozen=True)
@@ -352,10 +349,10 @@ def embed_oos(
     """Embed one new point, optionally with a known label c in {1..L}.
 
     The kernel row keeps the k nearest training points, as embed_many's
-    "nearest" route does; a precomputed length-n `weights` vector, finite
-    and nonnegative, replaces it, its nonzero entries summed in index
-    order. This is row 0 of embed_many and raises its "query 0 outside
-    model support" error when an unlabeled query has zero kernel mass.
+    does; a precomputed length-n `weights` vector, finite and nonnegative,
+    replaces it, its nonzero entries summed in index order. This is row 0
+    of embed_many and raises its "query 0 outside model support" error
+    when an unlabeled query has zero kernel mass.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.shape != (model.d,):
@@ -376,28 +373,12 @@ def embed_oos(
     return _extend(model, (cols[None], weights[cols][None]), np.array([c], dtype=np.int64))[0]
 
 
-def _check_oos(oos) -> None:
-    if oos not in OOS_MODES:
-        raise ValueError("oos must be one of %s" % ", ".join(OOS_MODES))
-
-
-def embed_many(
-    model: CcdrModel,
-    X: np.ndarray,
-    c: np.ndarray | int = 0,
-    oos: str = "nearest",
-) -> np.ndarray:
+def embed_many(model: CcdrModel, X: np.ndarray, c: np.ndarray | int = 0) -> np.ndarray:
     """Embed a batch of points; c is one label or a vector of labels.
 
-    oos picks the route: "nearest" extends each query from its k nearest
-    training points, the kernel the fit's own rows sum over, so a row does
-    not depend on its batch; "refit" solves the model again with the query
-    and its label appended. A labelled refit lands near the extension's
-    row; an unlabelled one is no check of the extension at small beta,
-    where the appended low-degree vertex can pull an eigenvector onto
-    itself.
+    Each query is extended from its k nearest training points, the kernel
+    the fit's own rows sum over, so a row does not depend on its batch.
     """
-    _check_oos(oos)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.d:
         raise ValueError("X must be q x %d" % model.d)
@@ -407,12 +388,8 @@ def embed_many(
         raise ValueError("c must be a scalar or a length-q vector")
     if cs.min(initial=0) < 0 or cs.max(initial=0) > model.num_classes or (cs % 1).any():
         raise ValueError("labels must lie in {0, .., %d}" % model.num_classes)
-    cs = cs.astype(np.int64)
-    if oos == "nearest":
-        K = kernel_rows(X, model.train_points, model.k, model.eps, _index=model._index)
-        return _extend(model, K, cs)
-    _check_finite(X)
-    return np.array([_refit_row(model, x, ci) for x, ci in zip(X, cs)]).reshape(q, model.m)
+    K = kernel_rows(X, model.train_points, model.k, model.eps, _index=model._index)
+    return _extend(model, K, cs.astype(np.int64))
 
 
 def _extend(model: CcdrModel, K, cs: np.ndarray) -> np.ndarray:
@@ -439,23 +416,6 @@ def _extend(model: CcdrModel, K, cs: np.ndarray) -> np.ndarray:
     if labeled.size:
         num[labeled] += model.centers[cs[labeled] - 1]
     return num / ((1.0 - model.eigenvalues)[None, :] * den[:, None])
-
-
-def _refit_row(model: CcdrModel, x: np.ndarray, c: int) -> np.ndarray:
-    """x's row in a refit with x appended under label c, solved with the
-    model's hyperparameters (same absolute eps), its columns sign-aligned to
-    the original embedding."""
-    pts = np.vstack([model.train_points, x[None, :]])
-    labs = np.concatenate([model.train_labels, [c]])
-    refit = _solve(
-        pts, labs, model.num_classes, _heat_graph(pts, model.k, model.eps),
-        model.k, model.beta, model.m,
-    )
-    flip = np.sign(
-        np.einsum("ij,ij->j", refit.embedding[:-1], model.embedding)
-    )
-    flip[flip == 0] = 1.0
-    return refit.embedding[-1] * flip
 
 
 def shrink(model: CcdrModel, m: int) -> CcdrModel:

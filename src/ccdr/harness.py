@@ -26,7 +26,7 @@ from .dataset import (
     gen_circles,
     load_statlog,
 )
-from .embedding import _check_fit, _check_oos, _extend, _solve, embed_many
+from .embedding import _check_fit, _extend, _solve, embed_many
 from .graph import _heat_graph, kernel_rows
 from .baselines import lda_fit, pca_fit
 
@@ -48,10 +48,8 @@ class ExperimentConfig:
     or a synthetic spec (synth = dict with n_per_class, radii, noise_sd);
     synthetic test data uses seed + 1. remap=None means the satimage label
     table. eps=None selects the median heuristic scaled by eps_scale.
-    oos (one of embedding.OOS_MODES: "nearest" or "refit") is how
-    test points reach every graph pipeline's embedding, ccdr and lapeig
-    alike; see embed_many. The `ccdr sweep` and `ccdr classify` options
-    are derived from these fields and their defaults (see cli.py).
+    The `ccdr sweep` and `ccdr classify` options are derived from these
+    fields and their defaults (see cli.py).
     """
 
     train_path: str | None = None
@@ -69,7 +67,6 @@ class ExperimentConfig:
     standardize: bool = False
     seed: int = 0
     ci_level: float = 0.8
-    oos: str = "nearest"
     measure_wall: bool = True
 
 
@@ -160,8 +157,7 @@ def fit_pipeline(
 
     The returned transform embeds arbitrary query points without touching
     any fitted parameter; for CCDR queries enter unlabeled (c = 0). A graph
-    pipeline's transform takes the default embed_many route; detail is its
-    CcdrModel, so embed_many(pf.detail, X, 0, oos) takes any other.
+    pipeline's transform is embed_many, and detail is its CcdrModel.
     """
     if pipeline == "raw":
         return PipelineFit(train.points, lambda X: np.asarray(X, dtype=np.float64))
@@ -205,14 +201,14 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     grid key (pipeline, beta, m, graph_k) is handled in one pass: one fit,
     one embedding of the test points, then every (classifier, clf_k) row
     from that embedding, so removing one grid point never changes another
-    row. The heat weights and, on the "nearest" route, the test points'
-    kernel rows depend on graph_k alone: one cache entry per graph_k holds
-    them for every ccdr and lapeig key using it, with the same bits as a
-    build per key. A graph that cannot be built gives its error to every
-    such key before any argument check. With measure_wall off, wall_ms is
-    0 and a rerun emits a byte-identical CSV; with it on, each row carries
-    its key's fit and test-embedding time plus its own classification
-    time, and the first key that uses a graph carries its build time.
+    row. The heat weights and the test points' kernel rows depend on
+    graph_k alone: one cache entry per graph_k holds them for every ccdr
+    and lapeig key using it, with the same bits as a build per key. A
+    graph that cannot be built gives its error to every such key before
+    any argument check. With measure_wall off, wall_ms is 0 and a rerun
+    emits a byte-identical CSV; with it on, each row carries its key's fit
+    and test-embedding time plus its own classification time, and the
+    first key that uses a graph carries its build time.
     """
     for p in cfg.pipelines:
         if p not in PIPELINES:
@@ -220,7 +216,6 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     for c in cfg.classifiers:
         if c not in CLASSIFIERS:
             raise ValueError("unknown classifier %r" % c)
-    _check_oos(cfg.oos)
     _check_level(cfg.ci_level)
     if not (cfg.pipelines and cfg.classifiers and cfg.betas and cfg.ms
             and cfg.graph_ks and cfg.clf_ks):
@@ -244,8 +239,8 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
 @dataclass
 class _Sweep:
     """What the grid keys of one run_sweep call share: graphs holds each
-    graph_k's heat weights and the test points' kernel_rows (None off the
-    "nearest" route), or the ValueError building them raised.
+    graph_k's heat weights and the test points' kernel_rows, or the
+    ValueError building them raised.
     """
 
     cfg: ExperimentConfig
@@ -260,8 +255,7 @@ class _Sweep:
             cfg, train = self.cfg, self.train
             try:
                 W = _heat_graph(train.points, graph_k, cfg.eps, cfg.eps_scale)
-                rows = (kernel_rows(self.test.points, train.points, graph_k, W.eps)
-                        if cfg.oos == "nearest" else None)
+                rows = kernel_rows(self.test.points, train.points, graph_k, W.eps)
                 self.graphs[graph_k] = (W, rows)
             except ValueError as exc:
                 self.graphs[graph_k] = exc
@@ -277,8 +271,6 @@ class _Sweep:
             return pf.train_embedding, pf.transform(self.test.points)
         W, rows = self.graph(graph_k)
         model = _graph_model(pipeline, self.train, m, graph_k, beta, W)
-        if rows is None:
-            return model.embedding, embed_many(model, self.test.points, 0, self.cfg.oos)
         return model.embedding, _extend(model, rows, np.zeros(self.test.n, dtype=np.int64))
 
     def key_rows(self, pipeline, beta, m, graph_k):

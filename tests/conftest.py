@@ -1,5 +1,6 @@
-"""Shared fixtures: Statlog satimage file discovery, small datasets, and a
-Lanczos solver that does not converge.
+"""Shared fixtures: Statlog satimage file discovery, small datasets, a
+Lanczos solver that does not converge, and the refit oracle of the
+out-of-sample extension.
 
 The Landsat-based tests need the UCI Statlog satimage files. They are not
 bundled; place sat.trn and sat.tst in the directory named by $CCDR_DATA_DIR
@@ -15,6 +16,8 @@ import pytest
 
 import ccdr.spectral
 from ccdr.dataset import LabeledDataset, gen_circles
+from ccdr.embedding import _solve
+from ccdr.graph import _heat_graph
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -82,3 +85,26 @@ def nearly_cut_off():
 def lanczos_fails(monkeypatch):
     """Make every Lanczos eigensolve give up before its first basis fill."""
     monkeypatch.setattr(ccdr.spectral, "MAX_CYCLES", 0)
+
+
+def refit_row(model, x, c):
+    """x's row in a refit with x appended under label c, solved with the
+    model's hyperparameters (same absolute eps), its columns sign-aligned to
+    the original embedding.
+
+    The oracle of the out-of-sample extension. It agrees with a labelled
+    query's extension; an unlabelled query enters the refit as a vertex of
+    degree beta * sum(w) only, and at small beta it can pull an eigenvector
+    onto itself, so unlabelled rows are not compared with it.
+    """
+    pts = np.vstack([model.train_points, x[None, :]])
+    labs = np.concatenate([model.train_labels, [c]])
+    refit = _solve(
+        pts, labs, model.num_classes, _heat_graph(pts, model.k, model.eps),
+        model.k, model.beta, model.m,
+    )
+    flip = np.sign(
+        np.einsum("ij,ij->j", refit.embedding[:-1], model.embedding)
+    )
+    flip[flip == 0] = 1.0
+    return refit.embedding[-1] * flip

@@ -12,6 +12,7 @@ from ccdr.cli import _SCHEMAS, main
 from ccdr.dataset import gen_circles, load_statlog, read_points, save_statlog
 from ccdr.embedding import embed_many, load_model
 from ccdr.harness import ExperimentConfig, SweepReport, SweepRow
+from conftest import refit_row
 
 # sweep's and classify's options with their defaults, as written out by hand
 # before the two tables were derived from ExperimentConfig
@@ -23,7 +24,7 @@ _COMMON_OPTIONS = {
 }
 SWEEP_OPTIONS = dict(
     _COMMON_OPTIONS, pipelines=("ccdr",), classifiers=("knn",), betas=(0.5,),
-    ms=(2,), graph_ks=(4,), clf_ks=(1,), oos="nearest", no_wall=False, out=None,
+    ms=(2,), graph_ks=(4,), clf_ks=(1,), no_wall=False, out=None,
 )
 CLASSIFY_OPTIONS = dict(
     _COMMON_OPTIONS, pipeline="ccdr", classifier="knn", beta=1.0, m=2, k=4, clf_k=1,
@@ -35,10 +36,8 @@ EMBED_OPTIONS = {
     "eps_scale": 1.0, "standardize": False, "remap": "satimage", "out": None,
     "model_out": None,
 }
-# oos's options with their defaults; --oos is sweep's option of the same name
-OOS_OPTIONS = {
-    "model": None, "points": None, "out": None, "remap": "satimage", "oos": "nearest",
-}
+# oos's options with their defaults
+OOS_OPTIONS = {"model": None, "points": None, "out": None, "remap": "satimage"}
 
 
 @pytest.fixture()
@@ -153,20 +152,15 @@ def test_oos_extension_and_brute_force(split_files, tmp_path):
     assert lines[0] == "e1,e2,label" and len(lines) == 21
     # labels column carries the query labels through
     assert {int(l.rsplit(",", 1)[1]) for l in lines[1:]} == {1, 2}
-    # the dense kernel over every training point is not a route
-    o2 = tmp_path / "oos_full.csv"
-    assert main(["oos", "--model", str(mdl), "--points", tst, "--remap", "identity",
-                 "--out", str(o2), "--oos", "full"]) == 2
-    assert not o2.exists()
-    o3 = tmp_path / "oos_refit.csv"
-    assert main(["oos", "--model", str(mdl), "--points", tst, "--remap", "identity",
-                 "--out", str(o3), "--oos", "refit"]) == 0
-    assert len(o3.read_text().splitlines()) == 21
-    # the refit takes each query with its label, as the extension does
+    # each query is extended with its label, and the labelled extension
+    # lands where a brute-force refit with the query appended puts it
+    model = load_model(mdl)
     points, labels = read_points(tst, remap={1: 1, 2: 2})
-    want = embed_many(load_model(mdl), points, labels, "refit")
-    got = np.loadtxt(o3, delimiter=",", skiprows=1)
-    assert np.array_equal(got[:, :2], want) and np.array_equal(got[:, 2], labels)
+    got = np.loadtxt(o1, delimiter=",", skiprows=1)
+    assert np.array_equal(got[:, :2], embed_many(model, points, labels))
+    assert np.array_equal(got[:, 2], labels)
+    refit = np.array([refit_row(model, x, c) for x, c in zip(points, labels)])
+    assert np.abs(refit - got[:, :2]).max() < 0.1
 
 
 def test_classify_prints_error_line(split_files, capsys):
@@ -234,18 +228,25 @@ def test_sweep_and_classify_options_keep_their_names_and_defaults():
         assert [type(got[n]) for n in want] == [type(v) for v in want.values()]
     # the one intended difference: classify --beta keeps fit's default
     assert ExperimentConfig().betas == (0.5,)
-    assert _SCHEMAS["oos"]["oos"] is _SCHEMAS["sweep"]["oos"]
 
 
 def test_unknown_oos_route_fails_before_any_file_is_read(tmp_path, capsys):
+    # no verb takes a route: --oos as a flag or as a config key fails
+    # before any data or model file is read
     missing = str(tmp_path / "missing")
+    cfg = tmp_path / "route.cfg"
+    cfg.write_text("oos=nearest\n")
     for argv in (
-        ["sweep", "--train", missing, "--test", missing, "--out", missing, "--oos", "knn"],
-        ["oos", "--model", missing, "--points", missing, "--out", missing, "--oos", "bogus"],
+        ["sweep", "--train", missing, "--test", missing, "--out", missing],
+        ["oos", "--model", missing, "--points", missing, "--out", missing],
     ):
-        assert main(argv) == 2
-        assert capsys.readouterr().err == "error: oos must be one of nearest, refit\n"
-    assert not any(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--oos", "nearest"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --oos nearest" in capsys.readouterr().err
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: unknown config keys: oos\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["route.cfg"]
 
 
 def _config_passed(monkeypatch, argv):
@@ -268,8 +269,7 @@ def test_every_config_field_can_be_set_from_sweep(monkeypatch, tmp_path):
         "--pipelines", "raw,pca", "--classifiers", "linear", "--betas", "0.1,0.2",
         "--ms", "3,4", "--graph-ks", "5,6", "--clf-ks", "3", "--eps", "0.7",
         "--eps-scale", "2", "--standardize", "true", "--seed", "9",
-        "--ci-level", "0.9", "--oos", "refit",
-        "--no-wall", "true",
+        "--ci-level", "0.9", "--no-wall", "true",
     ]
     files = _config_passed(monkeypatch, argv + ["--train", "a.trn", "--test", "b.tst"])
     synth = _config_passed(monkeypatch, argv + [
@@ -283,8 +283,7 @@ def test_every_config_field_can_be_set_from_sweep(monkeypatch, tmp_path):
         "remap": {1: 1, 9: 2}, "pipelines": ("raw", "pca"), "classifiers": ("linear",),
         "betas": (0.1, 0.2), "ms": (3, 4), "graph_ks": (5, 6), "clf_ks": (3,),
         "eps": 0.7, "eps_scale": 2.0, "standardize": True, "seed": 9,
-        "ci_level": 0.9, "oos": "refit",
-        "measure_wall": False,
+        "ci_level": 0.9, "measure_wall": False,
     }
     default = ExperimentConfig()
     assert all(v != getattr(default, name) for name, v in got.items())
@@ -297,7 +296,7 @@ def test_classify_is_a_one_point_sweep(monkeypatch, capsys):
     ])
     assert (cfg.pipelines, cfg.classifiers, cfg.betas, cfg.ms, cfg.graph_ks, cfg.clf_ks) == (
         ("pca",), ("linear",), (1.0,), (3,), (6,), (5,))
-    assert cfg.measure_wall and cfg.oos == "nearest"
+    assert cfg.measure_wall
     assert "error=0.5 ci80=[0.4,0.6]" in capsys.readouterr().out
 
 

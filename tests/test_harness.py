@@ -19,7 +19,7 @@ from ccdr.dataset import (
     save_statlog,
 )
 from ccdr.baselines import laplacian_eigenmap
-from ccdr.embedding import OOS_MODES, constraint_residuals, embed_many, fit
+from ccdr.embedding import constraint_residuals, embed_many, fit
 from ccdr.graph import heat_weights, knn_graph, median_eps
 from ccdr.harness import (
     CSV_HEADER,
@@ -33,6 +33,7 @@ from ccdr.harness import (
     load_split,
     run_sweep,
 )
+from conftest import refit_row
 
 
 @pytest.fixture()
@@ -146,11 +147,13 @@ def test_fit_pipeline_lda_ignores_unlabeled_points():
 
 
 def test_fit_pipeline_refit_transform_is_deterministic():
+    # the refit oracle runs on a pipeline's model and gives the same bits
+    # on every call
     train = gen_circles(20, [1.0, 2.0], 0.02, seed=5)
     pf = fit_pipeline("ccdr", train, 2, graph_k=4, beta=0.05)
     q = np.array([[0.5, 0.5], [-1.2, 0.3]])
-    a = embed_many(pf.detail, q, 0, "refit")
-    b = embed_many(pf.detail, q, 0, "refit")
+    a = np.array([refit_row(pf.detail, x, 0) for x in q])
+    b = np.array([refit_row(pf.detail, x, 0) for x in q])
     assert np.array_equal(a, b)
     assert a.shape == (2, 2) and np.all(np.isfinite(a))
 
@@ -171,11 +174,13 @@ def test_lapeig_is_ccdr_with_no_class_nodes():
 
 
 def test_lapeig_honours_the_oos_flags():
+    # a lapeig model takes both out-of-sample maps: its transform is the
+    # closed-form extension, and the refit oracle runs on it and differs
     train = gen_circles(20, [1.0, 2.0], 0.02, seed=5)
     q = np.array([[0.5, 0.5], [-1.2, 0.3], [3.0, 0.0]])
     pf = fit_pipeline("lapeig", train, 2, graph_k=4)
-    nearest = embed_many(pf.detail, q, 0, "nearest")
-    refit = embed_many(pf.detail, q, 0, "refit")
+    nearest = embed_many(pf.detail, q)
+    refit = np.array([refit_row(pf.detail, x, 0) for x in q])
     assert nearest.shape == refit.shape == (3, 2)
     assert np.all(np.isfinite(nearest)) and np.all(np.isfinite(refit))
     assert np.array_equal(pf.transform(q[:2]), nearest[:2])
@@ -309,12 +314,12 @@ def test_run_sweep_rows_are_independent(circle_files):
         assert a.error == b.error and a.ci_low == b.ci_low and a.ci_high == b.ci_high
 
 
-def _graph_grid(trn, tst, graph_ks, oos="nearest"):
+def _graph_grid(trn, tst, graph_ks):
     return ExperimentConfig(
         train_path=trn, test_path=tst, remap={1: 1, 2: 2},
         pipelines=("ccdr", "lapeig"), classifiers=("knn", "linear"),
         betas=(0.05, 0.5), ms=(1, 2), graph_ks=graph_ks, clf_ks=(1, 3),
-        oos=oos, measure_wall=False,
+        measure_wall=False,
     )
 
 
@@ -376,34 +381,32 @@ def test_run_sweep_rows_equal_the_uncached_path(circle_files, monkeypatch):
         return real(train_Y, train_labels, Q, k_max, **kwargs)
 
     monkeypatch.setattr(ccdr.classify, "sorted_neighbor_labels", recorded)
-    # on every oos route, compared with fitting each grid point on its own
-    for oos in OOS_MODES:
-        cfg = _graph_grid(*circle_files, graph_ks=(4, 6), oos=oos)
-        train, test = load_split(cfg)
-        lab = train.labels > 0
-        seen.clear()
-        rows = run_sweep(cfg).rows
-        fits = {}
-        for pipeline in cfg.pipelines:
-            for beta in cfg.betas if pipeline == "ccdr" else (0.0,):
-                for m in cfg.ms:
-                    for graph_k in cfg.graph_ks:
-                        pf = fit_pipeline(pipeline, train, m, graph_k, beta)
-                        fits[pipeline, beta, m, graph_k] = (
-                            pf.train_embedding, embed_many(pf.detail, test.points, 0, oos))
-        assert len(seen) == len(fits)
-        for (train_Y, Q), (Y, Yq) in zip(seen, fits.values()):
-            assert np.array_equal(train_Y, Y[lab]) and np.array_equal(Q, Yq)
-        for r in rows:
-            Y, Yq = fits[r.pipeline, r.beta, r.m, r.graph_k]
-            if r.classifier == "knn":
-                clf = KnnClassifier(Y[lab], train.labels[lab], r.clf_k, 2)
-            else:
-                clf = linear_fit(Y[lab], train.labels[lab], 2)
-            errors = int(np.sum(clf.predict(Yq) != test.labels))
-            assert r.note == ""
-            assert (r.error, r.ci_low, r.ci_high) == (
-                errors / test.n, *confidence_interval(errors, test.n, cfg.ci_level))
+    # compared with fitting each grid point on its own
+    cfg = _graph_grid(*circle_files, graph_ks=(4, 6))
+    train, test = load_split(cfg)
+    lab = train.labels > 0
+    rows = run_sweep(cfg).rows
+    fits = {}
+    for pipeline in cfg.pipelines:
+        for beta in cfg.betas if pipeline == "ccdr" else (0.0,):
+            for m in cfg.ms:
+                for graph_k in cfg.graph_ks:
+                    pf = fit_pipeline(pipeline, train, m, graph_k, beta)
+                    fits[pipeline, beta, m, graph_k] = (
+                        pf.train_embedding, embed_many(pf.detail, test.points))
+    assert len(seen) == len(fits)
+    for (train_Y, Q), (Y, Yq) in zip(seen, fits.values()):
+        assert np.array_equal(train_Y, Y[lab]) and np.array_equal(Q, Yq)
+    for r in rows:
+        Y, Yq = fits[r.pipeline, r.beta, r.m, r.graph_k]
+        if r.classifier == "knn":
+            clf = KnnClassifier(Y[lab], train.labels[lab], r.clf_k, 2)
+        else:
+            clf = linear_fit(Y[lab], train.labels[lab], 2)
+        errors = int(np.sum(clf.predict(Yq) != test.labels))
+        assert r.note == ""
+        assert (r.error, r.ci_low, r.ci_high) == (
+            errors / test.n, *confidence_interval(errors, test.n, cfg.ci_level))
 
 
 def test_run_sweep_failed_graph_repeats_its_note(circle_files, monkeypatch):
@@ -482,18 +485,6 @@ def test_run_sweep_never_reads_test_statistics(circle_files, tmp_path):
     assert pfA.detail.eps == pfB.detail.eps
 
 
-def test_run_sweep_with_refit_extension(circle_files):
-    trn, tst = circle_files
-    cfg = ExperimentConfig(
-        train_path=trn, test_path=tst, remap={1: 1, 2: 2},
-        pipelines=("ccdr",), classifiers=("knn",), betas=(0.5,), ms=(2,),
-        graph_ks=(4,), clf_ks=(1,), oos="refit", measure_wall=False,
-    )
-    rows = run_sweep(cfg).rows
-    assert len(rows) == 1
-    assert rows[0].note == "" and 0.0 <= rows[0].error <= 1.0
-
-
 def test_run_sweep_validation(circle_files):
     trn, tst = circle_files
     base = dict(train_path=trn, test_path=tst, remap={1: 1, 2: 2})
@@ -501,8 +492,9 @@ def test_run_sweep_validation(circle_files):
         run_sweep(ExperimentConfig(pipelines=("mds",), **base))
     with pytest.raises(ValueError, match="unknown classifier 'svm'"):
         run_sweep(ExperimentConfig(classifiers=("svm",), **base))
-    with pytest.raises(ValueError, match="oos must be one of nearest, refit"):
-        run_sweep(ExperimentConfig(oos="knn", **base))
+    # test points reach a graph embedding by the one extension: no route field
+    with pytest.raises(TypeError, match="oos"):
+        ExperimentConfig(oos="nearest", **base)
     with pytest.raises(ValueError, match="all grids must be non-empty"):
         run_sweep(ExperimentConfig(betas=(), **base))
 
