@@ -1,8 +1,9 @@
 """Label-aware spectral embedding (CCDR) with an out-of-sample extension.
 
-The package bundles the embedding itself, classical baselines (PCA, LDA,
-Laplacian eigenmaps), two downstream classifiers, and a sweep harness with
-a small command line front end.
+The package bundles the embedding itself, classical baselines (PCA, LDA),
+two downstream classifiers, and a sweep harness with a small command line
+front end. Its pipelines include the unsupervised Laplacian eigenmap
+(`lapeig`), fitted as CCDR with no class nodes.
 """
 
 from .dataset import (
@@ -30,11 +31,8 @@ from .embedding import (
     CcdrModel,
     build_augmented,
     fit,
-    embed_oos,
     embed_many,
-    cost,
     constraint_residuals,
-    shrink,
     save_model,
     load_model,
 )
@@ -42,7 +40,6 @@ from .baselines import (
     LinearEmbedding,
     pca_fit,
     lda_fit,
-    laplacian_eigenmap,
 )
 from .classify import (
     LinearClassifier,
@@ -84,17 +81,13 @@ __all__ = [
     "CcdrModel",
     "build_augmented",
     "fit",
-    "embed_oos",
     "embed_many",
-    "cost",
     "constraint_residuals",
-    "shrink",
     "save_model",
     "load_model",
     "LinearEmbedding",
     "pca_fit",
     "lda_fit",
-    "laplacian_eigenmap",
     "LinearClassifier",
     "KnnClassifier",
     "linear_fit",

@@ -1,13 +1,13 @@
-"""Classical embeddings: PCA, Fisher LDA, Laplacian eigenmaps.
+"""Classical linear embeddings: PCA and Fisher LDA.
 
-PCA and LDA solve their small dense eigenproblems through `numpy.linalg`,
-whose OpenBLAS also runs every neighbour-search GEMM. scipy ships a second
+Both solve their small dense eigenproblems through `numpy.linalg`, whose
+OpenBLAS also runs every neighbour-search GEMM. scipy ships a second
 OpenBLAS with its own worker pool; after a threaded LAPACK call on that pool
 its worker spins for about 0.1 s, and numpy GEMMs run at about half speed
 meanwhile (measured on 2 vCPUs). Keeping these solves on numpy's pool
 keeps a baseline fit from slowing the embed and predict batches that
-follow it. Laplacian eigenmaps go through `spectral`, whose Lanczos
-iteration runs on the same pool.
+follow it. The unsupervised Laplacian eigenmap is CCDR with no class nodes
+and beta = 1, fitted by the harness's `lapeig` pipeline.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import _spectrum
-from .graph import WeightMatrix
 from .spectral import _fix_signs, _warn_caller, _warn_small_gaps
 
 
@@ -116,19 +114,3 @@ def lda_fit(points: np.ndarray, labels: np.ndarray, m: int) -> LinearEmbedding:
     A = _fix_signs(vecs).T
     return LinearEmbedding(A=A.copy(), offset=np.zeros(d))
 
-
-def laplacian_eigenmap(W, m: int) -> np.ndarray:
-    """Eigenmap coordinates: generalized eigenvectors 2..m+1 of (D - W, D).
-
-    W may be a WeightMatrix or a symmetric nonnegative array; every vertex
-    needs positive degree. This is the CCDR spectrum with no class nodes
-    and beta = 1, without CCDR's requirement that retained eigenvalues stay
-    below 1; a disconnected W gives the fit's RuntimeWarning.
-    """
-    shape = W.matrix.shape if isinstance(W, WeightMatrix) else np.shape(W)
-    n = shape[0]
-    if shape != (n, n):
-        raise ValueError("W must be square")
-    if not 1 <= m <= n - 1:
-        raise ValueError("m must satisfy 1 <= m <= n - 1 = %d" % (n - 1))
-    return _spectrum(np.zeros((0, n)), W, 1.0, m).vectors.copy()

@@ -33,7 +33,6 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial.distance import cdist
 
 from .dataset import LabeledDataset, _indicator, class_counts
 from .graph import WeightMatrix, _TrainIndex, _heat_graph, kernel_rows
@@ -75,9 +74,9 @@ class CcdrModel:
     centers has shape (L, m) with row k the center of class k + 1; embedding
     has shape (n, m) with row i the coordinates of training point i;
     eigenvalues holds lambda_2 .. lambda_{m+1} in ascending order. The
-    package's constructors (fit, shrink, load_model) make every array
-    read-only: the neighbour index built on the first embed_many reads
-    train_points, which must not change after it.
+    package's constructors (fit, load_model) make every array read-only:
+    the neighbour index built on the first embed_many reads train_points,
+    which must not change after it.
     """
 
     centers: np.ndarray
@@ -325,54 +324,6 @@ def _row_errors(model: CcdrModel, Wmat, C: np.ndarray) -> np.ndarray:
     return np.abs(model.embedding - num / den).max(axis=1)
 
 
-def cost(Z: np.ndarray, Y: np.ndarray, C, W, beta: float) -> float:
-    """Objective sum_ki c_ki ||z_k - y_i||^2 + (b/2) sum_ij w_ij ||y_i - y_j||^2.
-
-    Z is (L, m), Y is (n, m). Equals tr(Zhat Lap Zhat^T) for the stacked
-    arrangement, feasible or not.
-    """
-    C = np.asarray(C, dtype=np.float64)
-    Z = np.asarray(Z, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    term1 = float((C * cdist(Z, Y, "sqeuclidean")).sum())
-    coo = sparse.coo_matrix(W.matrix if isinstance(W, WeightMatrix) else W)
-    diff2 = ((Y[coo.row] - Y[coo.col]) ** 2).sum(axis=1)
-    return term1 + 0.5 * beta * float((coo.data * diff2).sum())
-
-
-def embed_oos(
-    model: CcdrModel,
-    x: np.ndarray,
-    c: int = 0,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Embed one new point, optionally with a known label c in {1..L}.
-
-    The kernel row keeps the k nearest training points, as embed_many's
-    does; a precomputed length-n `weights` vector, finite and nonnegative,
-    replaces it, its nonzero entries summed in index order. This is row 0
-    of embed_many and raises its "query 0 outside model support" error
-    when an unlabeled query has zero kernel mass.
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape != (model.d,):
-        raise ValueError("x must have dimension %d" % model.d)
-    if np.ndim(c) or not (0 <= c <= model.num_classes and c % 1 == 0):
-        raise ValueError("label c must lie in {0, .., %d}" % model.num_classes)
-    if weights is None:
-        return embed_many(model, x[None], c)[0]
-    weights = np.asarray(weights, dtype=np.float64).ravel()
-    if weights.shape != (model.n,):
-        raise ValueError("weights must have length n = %d" % model.n)
-    bad = np.nonzero(~np.isfinite(weights) | (weights < 0))[0]
-    if bad.size:
-        raise ValueError("weight %d is %s; weights must be finite and nonnegative"
-                         % (bad[0], weights[bad[0]]))
-    # an all-zero row keeps one zero-weight column: zero kernel mass
-    cols = np.flatnonzero(weights) if weights.any() else np.zeros(1, dtype=np.int64)
-    return _extend(model, (cols[None], weights[cols][None]), np.array([c], dtype=np.int64))[0]
-
-
 def embed_many(model: CcdrModel, X: np.ndarray, c: np.ndarray | int = 0) -> np.ndarray:
     """Embed a batch of points; c is one label or a vector of labels.
 
@@ -418,29 +369,6 @@ def _extend(model: CcdrModel, K, cs: np.ndarray) -> np.ndarray:
     return num / ((1.0 - model.eigenvalues)[None, :] * den[:, None])
 
 
-def shrink(model: CcdrModel, m: int) -> CcdrModel:
-    """Restrict a fitted model to its first m coordinates.
-
-    The leading eigenpairs do not depend on how many were requested, so
-    this equals a direct fit at the smaller m (up to eigensolver rounding).
-    """
-    if not 1 <= m <= model.m:
-        raise ValueError("m must satisfy 1 <= m <= %d" % model.m)
-    return _read_only_model(
-        centers=model.centers[:, :m].copy(),
-        embedding=model.embedding[:, :m].copy(),
-        eigenvalues=model.eigenvalues[:m].copy(),
-        beta=model.beta,
-        eps=model.eps,
-        k=model.k,
-        m=int(m),
-        train_points=model.train_points,
-        train_labels=model.train_labels,
-        num_classes=model.num_classes,
-        class_sizes=model.class_sizes,
-    )
-
-
 def save_model(model: CcdrModel, path) -> None:
     """Persist a model as a flat .npz container with a format version.
 
@@ -455,7 +383,11 @@ def save_model(model: CcdrModel, path) -> None:
 
 
 def load_model(path) -> CcdrModel:
-    """Load a model written by save_model; the round trip is lossless."""
+    """Load a model written by save_model; the round trip is lossless.
+
+    A file whose array shapes disagree with each other, or whose k does not
+    satisfy 1 <= k < n, raises ValueError naming the first bad field.
+    """
     with np.load(path) as z:
         version = int(z["format_version"])
         if version != MODEL_FORMAT_VERSION:
@@ -464,4 +396,27 @@ def load_model(path) -> CcdrModel:
                 % (version, MODEL_FORMAT_VERSION)
             )
         entries = {f.name: z[f.name] for f in fields(CcdrModel)}
-    return _read_only_model(**{k: v.item() if v.ndim == 0 else v for k, v in entries.items()})
+    values = {k: v.item() if v.ndim == 0 else v for k, v in entries.items()}
+    _check_layout(values)
+    return _read_only_model(**values)
+
+
+def _check_layout(values: dict) -> None:
+    """Check a loaded model's array shapes against its n, L and m, and its k."""
+    pts = np.shape(values["train_points"])
+    if len(pts) != 2:
+        raise ValueError("model field train_points has shape %s, expected (n, d)" % (pts,))
+    n, L, m = pts[0], values["num_classes"], values["m"]
+    want = {
+        "centers": (L, m),
+        "embedding": (n, m),
+        "eigenvalues": (m,),
+        "train_labels": (n,),
+        "class_sizes": (L,),
+    }
+    for name, shape in want.items():
+        got = np.shape(values[name])
+        if got != shape:
+            raise ValueError("model field %s has shape %s, expected %s" % (name, got, shape))
+    if not 1 <= values["k"] < n:
+        raise ValueError("model field k = %s must satisfy 1 <= k < n = %d" % (values["k"], n))

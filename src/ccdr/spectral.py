@@ -10,9 +10,8 @@ with the kernel kept out of its basis: off the kernel, the largest
 eigenvalues of A are the smallest of S (the spectrum of S lies in [0, 2]
 for a graph Laplacian). A sparse request that leaves no room for a Krylov
 basis beside the kernel and the wanted vectors takes the full eigh too.
-Returned
-eigenvectors are Dg-orthonormal and sign-fixed so the largest-magnitude
-entry is positive (ties by lowest index).
+Returned eigenvectors are Dg-orthonormal and sign-fixed so the
+largest-magnitude entry is positive (ties by lowest index).
 
 Everything here runs on numpy, so its BLAS calls share numpy's OpenBLAS
 worker pool with the neighbour search. scipy links a second OpenBLAS: after

@@ -1,6 +1,7 @@
 """Shared fixtures: Statlog satimage file discovery, small datasets, a
-Lanczos solver that does not converge, and the refit oracle of the
-out-of-sample extension.
+Lanczos solver that does not converge, and test oracles: the refit of the
+out-of-sample extension, the objective, model shrinking and the plain
+Laplacian eigenmap.
 
 The Landsat-based tests need the UCI Statlog satimage files. They are not
 bundled; place sat.trn and sat.tst in the directory named by $CCDR_DATA_DIR
@@ -13,11 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+from scipy.spatial.distance import cdist
 
 import ccdr.spectral
 from ccdr.dataset import LabeledDataset, gen_circles
-from ccdr.embedding import _solve
-from ccdr.graph import _heat_graph
+from ccdr.embedding import CcdrModel, _read_only_model, _solve, _spectrum
+from ccdr.graph import WeightMatrix, _heat_graph
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -108,3 +111,58 @@ def refit_row(model, x, c):
     )
     flip[flip == 0] = 1.0
     return refit.embedding[-1] * flip
+
+
+def cost(Z: np.ndarray, Y: np.ndarray, C, W, beta: float) -> float:
+    """Objective sum_ki c_ki ||z_k - y_i||^2 + (b/2) sum_ij w_ij ||y_i - y_j||^2.
+
+    Z is (L, m), Y is (n, m). Equals tr(Zhat Lap Zhat^T) for the stacked
+    arrangement, feasible or not.
+    """
+    C = np.asarray(C, dtype=np.float64)
+    Z = np.asarray(Z, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    term1 = float((C * cdist(Z, Y, "sqeuclidean")).sum())
+    coo = sparse.coo_matrix(W.matrix if isinstance(W, WeightMatrix) else W)
+    diff2 = ((Y[coo.row] - Y[coo.col]) ** 2).sum(axis=1)
+    return term1 + 0.5 * beta * float((coo.data * diff2).sum())
+
+
+def shrink(model: CcdrModel, m: int) -> CcdrModel:
+    """Restrict a fitted model to its first m coordinates.
+
+    The leading eigenpairs do not depend on how many were requested, so
+    this equals a direct fit at the smaller m (up to eigensolver rounding).
+    """
+    if not 1 <= m <= model.m:
+        raise ValueError("m must satisfy 1 <= m <= %d" % model.m)
+    return _read_only_model(
+        centers=model.centers[:, :m].copy(),
+        embedding=model.embedding[:, :m].copy(),
+        eigenvalues=model.eigenvalues[:m].copy(),
+        beta=model.beta,
+        eps=model.eps,
+        k=model.k,
+        m=int(m),
+        train_points=model.train_points,
+        train_labels=model.train_labels,
+        num_classes=model.num_classes,
+        class_sizes=model.class_sizes,
+    )
+
+
+def laplacian_eigenmap(W, m: int) -> np.ndarray:
+    """Eigenmap coordinates: generalized eigenvectors 2..m+1 of (D - W, D).
+
+    W may be a WeightMatrix or a symmetric nonnegative array; every vertex
+    needs positive degree. This is the CCDR spectrum with no class nodes
+    and beta = 1, without CCDR's requirement that retained eigenvalues stay
+    below 1; a disconnected W gives the fit's RuntimeWarning.
+    """
+    shape = W.matrix.shape if isinstance(W, WeightMatrix) else np.shape(W)
+    n = shape[0]
+    if shape != (n, n):
+        raise ValueError("W must be square")
+    if not 1 <= m <= n - 1:
+        raise ValueError("m must satisfy 1 <= m <= n - 1 = %d" % (n - 1))
+    return _spectrum(np.zeros((0, n)), W, 1.0, m).vectors.copy()

@@ -163,6 +163,27 @@ def test_oos_extension_and_brute_force(split_files, tmp_path):
     assert np.abs(refit - got[:, :2]).max() < 0.1
 
 
+def test_oos_rejects_a_malformed_model_file(split_files, tmp_path, capsys):
+    trn, tst = split_files
+    mdl = tmp_path / "model.npz"
+    main([
+        "embed", "--train", trn, "--remap", "identity", "--pipeline", "ccdr",
+        "--beta", "0.05", "--out", str(tmp_path / "e.csv"), "--model-out", str(mdl),
+    ])
+    with np.load(mdl) as z:
+        data = {k: z[k] for k in z.files}
+    data["embedding"] = data["embedding"][:10]
+    np.savez(mdl, **data)
+    capsys.readouterr()
+    out = tmp_path / "oos.csv"
+    rc = main(["oos", "--model", str(mdl), "--points", tst, "--remap", "identity", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: model field embedding has shape (10, 2), expected (60, 2)\n"
+    )
+    assert not out.exists()
+
+
 def test_classify_prints_error_line(split_files, capsys):
     trn, tst = split_files
     rc = main([

@@ -19,18 +19,16 @@ from ccdr.embedding import (
     DENSE_MAX_ORDER,
     CcdrModel,
     MODEL_FORMAT_VERSION,
+    _extend,
     build_augmented,
     constraint_residuals,
-    cost,
     embed_many,
-    embed_oos,
     fit,
     load_model,
     save_model,
-    shrink,
 )
 from ccdr.graph import heat_weights, kernel_rows, knn_graph, median_eps
-from conftest import refit_row
+from conftest import cost, refit_row, shrink
 
 
 def small_w():
@@ -185,12 +183,8 @@ def test_oos_reproduces_training_row(blob30):
     g = knn_graph(blob30.points, 5)
     W = heat_weights(g, blob30.points, model.eps).matrix.toarray()
     for i in (0, 11, 29):
-        got = embed_oos(
-            model,
-            blob30.points[i],
-            int(blob30.labels[i]),
-            weights=W[i],
-        )
+        cols = np.flatnonzero(W[i])
+        got = _extend(model, (cols[None], W[i, cols][None]), np.array([blob30.labels[i]]))[0]
         assert np.abs(got - model.embedding[i]).max() < 1e-8
 
 
@@ -205,11 +199,11 @@ def test_oos_four_point_hand_formula():
     K[order] = np.exp(-d2[order] / 2.0)
     num = 0.7 * (K[:, None] * model.embedding).sum(axis=0)
     den = (1.0 - model.eigenvalues) * (0.7 * K.sum())
-    assert np.abs(embed_oos(model, x, 0) - num / den).max() < 1e-12
+    assert np.abs(embed_many(model, x[None], 0)[0] - num / den).max() < 1e-12
     # with a label the center joins the average and the mass gains one
     num1 = model.centers[0] + 0.7 * (K[:, None] * model.embedding).sum(axis=0)
     den1 = (1.0 - model.eigenvalues) * (1.0 + 0.7 * K.sum())
-    assert np.abs(embed_oos(model, x, 1) - num1 / den1).max() < 1e-12
+    assert np.abs(embed_many(model, x[None], 1)[0] - num1 / den1).max() < 1e-12
 
 
 def test_oos_beta_zero_collapses_to_center():
@@ -217,52 +211,31 @@ def test_oos_beta_zero_collapses_to_center():
         np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([1, 1, 2, 2]), 2
     )
     model = fit(ds, k=1, eps=1.0, beta=0.0, m=1)
-    got = embed_oos(model, np.array([9.0]), 1)
+    got = embed_many(model, np.array([[9.0]]), 1)[0]
     assert np.array_equal(got, model.centers[0] / (1.0 - model.eigenvalues))
 
 
 def test_oos_support_errors():
     circ = gen_circles(50, [1.0, 2.0], 0.01, seed=7)
     model = fit(circ, k=4, eps=None, beta=0.05, m=2)
-    # embed_oos is row 0 of the batch extension and reports as embed_many does
+    far = np.array([[1e6, 1e6]])
     with pytest.raises(ValueError, match="query 0 outside model support: zero kernel mass"):
-        embed_oos(model, np.zeros(2), 0, weights=np.zeros(circ.n))
-    with pytest.raises(ValueError, match="query 0 outside model support: zero kernel mass"):
-        embed_oos(model, np.array([1e6, 1e6]), 0)  # kernel underflows to 0
+        embed_many(model, far, 0)  # kernel underflows to 0
     # the same far query with a label keeps a positive denominator
-    assert np.all(np.isfinite(embed_oos(model, np.array([1e6, 1e6]), 1)))
-
-
-def test_oos_validation(blob30):
-    model = fit(blob30, k=5, eps=None, beta=0.8, m=2)
-    with pytest.raises(ValueError, match="x must have dimension 3"):
-        embed_oos(model, np.zeros(2))
-    with pytest.raises(ValueError, match=r"label c must lie in \{0, .., 3\}"):
-        embed_oos(model, np.zeros(3), 4)
-    with pytest.raises(ValueError, match="weights must have length n = 30"):
-        embed_oos(model, np.zeros(3), 0, weights=np.ones(5))
-    w = np.ones(30)
-    w[[4, 9]] = np.nan
-    with pytest.raises(ValueError, match="weight 4 is nan; weights must be finite and nonnegative"):
-        embed_oos(model, np.zeros(3), 0, weights=w)
-    w = np.ones(30)
-    w[7] = -0.5
-    with pytest.raises(ValueError, match="weight 7 is -0.5; weights must be finite and nonnegative"):
-        embed_oos(model, np.zeros(3), 0, weights=w)
+    assert np.all(np.isfinite(embed_many(model, far, 1)))
 
 
 def test_oos_weights_take_the_nearest_kernel_row(blob30):
     model = fit(blob30, k=5, eps=None, beta=0.8, m=2)
     x = np.array([0.3, -0.2, 0.5])
     nbrs, w = kernel_rows(x[None], model.train_points, model.k, model.eps)
-    row = np.zeros(model.n)
-    row[nbrs[0]] = w[0]
+    order = np.argsort(nbrs[0])
     for c in (0, 2):
         # the same terms, summed in index order instead of nearest first
-        got = embed_oos(model, x, c, weights=row)
-        assert np.abs(got - embed_oos(model, x, c)).max() < 1e-12
+        got = _extend(model, (nbrs[:, order], w[:, order]), np.array([c]))[0]
+        assert np.abs(got - embed_many(model, x[None], c)[0]).max() < 1e-12
     # no kernel mass: a labelled query lands on its class center
-    got = embed_oos(model, x, 2, weights=np.zeros(model.n))
+    got = embed_many(model, np.full((1, 3), 1e6), 2)[0]
     assert np.array_equal(got, model.centers[1] / (1.0 - model.eigenvalues))
 
 
@@ -276,7 +249,6 @@ def test_embed_many_matches_single(blob30):
         for i in range(6):
             ci = int(np.broadcast_to(c, 6)[i])
             single = embed_many(model, X[i : i + 1], ci)[0]
-            assert np.array_equal(single, embed_oos(model, X[i], ci))
             assert np.array_equal(batch[i], single)
 
 
@@ -349,14 +321,14 @@ def test_oos_is_locally_lipschitz(circles200):
     for t in range(20):
         x0 = rng.uniform(-2, 2, 2)
         try:
-            f0 = embed_oos(model, x0, 0)
+            f0 = embed_many(model, x0[None], 0)[0]
         except ValueError:
             continue
         for _ in range(5):
             u = rng.standard_normal(2)
             u /= np.linalg.norm(u)
             try:
-                f1 = embed_oos(model, x0 + 1e-6 * u, 0)
+                f1 = embed_many(model, (x0 + 1e-6 * u)[None], 0)[0]
             except ValueError:
                 continue
             assert np.linalg.norm(f1 - f0) / 1e-6 <= 100.0
@@ -418,7 +390,7 @@ def test_model_round_trip(tmp_path, blob30):
     assert back.num_classes == model.num_classes
     # a reloaded model keeps working
     x = np.zeros(3)
-    assert np.array_equal(embed_oos(back, x, 1), embed_oos(model, x, 1))
+    assert np.array_equal(embed_many(back, x[None], 1), embed_many(model, x[None], 1))
 
 
 # graph._SCREEN_MIN_WORK values: every call screened, then every call exact
@@ -437,7 +409,7 @@ def test_fitted_models_are_read_only_with_unchanged_fields(tmp_path, blob30):
     for route in ROUTES:
         with mock.patch.object(graph, "_SCREEN_MIN_WORK", route):
             assert np.array_equal(embed_many(back, Q), embed_many(model, Q))
-    for m in (model, back, shrink(model, 1)):
+    for m in (model, back):
         for f in dataclasses.fields(CcdrModel):
             v = getattr(m, f.name)
             assert not isinstance(v, np.ndarray) or not v.flags.writeable
@@ -491,6 +463,29 @@ def test_load_model_rejects_future_version(tmp_path, blob30):
     np.savez(p, **data)
     with pytest.raises(ValueError, match="unsupported model format version 2 \\(expected 1\\)"):
         load_model(p)
+
+
+def test_load_model_rejects_a_malformed_file(tmp_path, blob30):
+    model = fit(blob30, k=5, eps=None, beta=0.8, m=2)
+    p = tmp_path / "model.npz"
+    save_model(model, p)
+    with np.load(p) as z:
+        good = {k: z[k] for k in z.files}
+    # each field's shape follows from n = 30, d = 3, L = 3 and m = 2
+    for name, bad, msg in (
+        ("train_points", np.zeros(30), r"train_points has shape \(30,\), expected \(n, d\)"),
+        ("centers", np.zeros((2, 2)), r"centers has shape \(2, 2\), expected \(3, 2\)"),
+        ("embedding", model.embedding[:10], r"embedding has shape \(10, 2\), expected \(30, 2\)"),
+        ("eigenvalues", np.zeros(3), r"eigenvalues has shape \(3,\), expected \(2,\)"),
+        ("train_labels", np.ones(29, dtype=np.int64), r"train_labels has shape \(29,\), expected \(30,\)"),
+        ("class_sizes", np.ones(4, dtype=np.int64), r"class_sizes has shape \(4,\), expected \(3,\)"),
+        ("m", np.int64(3), r"centers has shape \(3, 2\), expected \(3, 3\)"),
+        ("k", np.int64(30), r"k = 30 must satisfy 1 <= k < n = 30"),
+        ("k", np.int64(0), r"k = 0 must satisfy 1 <= k < n = 30"),
+    ):
+        np.savez(p, **dict(good, **{name: bad}))
+        with pytest.raises(ValueError, match="model field " + msg):
+            load_model(p)
 
 
 def test_fit_rejects_overflowing_distances():
@@ -593,8 +588,6 @@ def test_embed_rejects_non_finite_queries(blob30, bad):
         embed_many(model, X)
     with pytest.raises(ValueError, match="query 0 has a non-finite coordinate"):
         embed_many(model, X[2:3])
-    with pytest.raises(ValueError, match="query 0 has a non-finite coordinate"):
-        embed_oos(model, X[2])
 
 
 def test_embed_many_keeps_the_batch_contract(blob30):

@@ -18,7 +18,6 @@ from ccdr.dataset import (
     gen_circles,
     save_statlog,
 )
-from ccdr.baselines import laplacian_eigenmap
 from ccdr.embedding import constraint_residuals, embed_many, fit
 from ccdr.graph import heat_weights, knn_graph, median_eps
 from ccdr.harness import (
@@ -33,7 +32,7 @@ from ccdr.harness import (
     load_split,
     run_sweep,
 )
-from conftest import refit_row
+from conftest import laplacian_eigenmap, refit_row
 
 
 @pytest.fixture()
