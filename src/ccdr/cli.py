@@ -28,7 +28,7 @@ from .dataset import (
     save_statlog,
 )
 from .embedding import embed_many, load_model, save_model
-from .harness import ExperimentConfig, emit_report, fit_pipeline, run_sweep
+from .harness import ExperimentConfig, _write_csv, emit_report, fit_pipeline, run_sweep
 
 DATA_DIR_ENV = "CCDR_DATA_DIR"
 
@@ -218,11 +218,8 @@ def _require(opts: dict, *names: str) -> None:
 
 
 def _write_embedding_csv(path, coords: np.ndarray, labels: np.ndarray) -> None:
-    m = coords.shape[1]
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(",".join("e%d" % (j + 1) for j in range(m)) + ",label\n")
-        for row, lab in zip(coords, labels):
-            fh.write(",".join(repr(float(v)) for v in row) + ",%d\n" % lab)
+    columns = ["e%d" % (j + 1) for j in range(coords.shape[1])] + ["label"]
+    _write_csv(path, columns, ((*row, lab) for row, lab in zip(coords, labels)))
 
 
 def _cmd_synth(opts) -> int:

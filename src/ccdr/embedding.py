@@ -34,9 +34,8 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.csgraph import connected_components
 
-from .dataset import LabeledDataset, _indicator, class_counts
-from .graph import WeightMatrix, _TrainIndex, _heat_graph, kernel_rows
-from .graph import knn_graph  # noqa: F401  perfbench's tracer test patches this name
+from .dataset import LabeledDataset, _indicator
+from .graph import WeightMatrix, _TrainIndex, heat_weights, kernel_rows, knn_graph, median_eps
 from .spectral import EigenSolution, _warn_caller, generalized_eig
 
 # Retained eigenvalues must stay clear of 1 for the extension denominator.
@@ -166,34 +165,34 @@ def fit(
     """Fit the constrained embedding on a labeled dataset.
 
     eps = None selects the median of squared kNN edge distances, scaled by
-    eps_scale. Requires beta >= 0, m >= 1 and m + 1 <= L + n, and every class
-    must have at least one labeled point; beta = 0 additionally needs a fully
-    labeled dataset so every augmented-graph row keeps positive degree.
-    Raises ValueError when a retained eigenvalue reaches 1 (then m is too
-    large or beta too small for this graph) or when the fitted model fails
-    a constraint identity beyond RESIDUAL_TOL, which a point the heat
-    kernel has all but cut off can cause; warns (RuntimeWarning) when some
+    eps_scale; an explicit eps needs eps_scale = 1. The graph comes first: a
+    graph that cannot be built is reported ahead of any bad argument. Then
+    beta >= 0, m >= 1 and m + 1 <= L + n are required, and every class must
+    have a labeled point; beta = 0 additionally needs a fully labeled
+    dataset so every augmented-graph row keeps positive degree. Raises
+    ValueError when a retained eigenvalue reaches 1 (then m is too large or
+    beta too small for this graph) or when the fitted model fails a
+    constraint identity beyond RESIDUAL_TOL, which a point the heat kernel
+    has all but cut off can cause; warns (RuntimeWarning) when some
     connected component of the augmented graph holds no class node.
     """
-    _check_fit(ds, beta, m)
+    if not isinstance(ds, LabeledDataset):
+        raise TypeError("ds must be a LabeledDataset")
     W = _heat_graph(ds.points, k, eps, eps_scale)
     return _solve(ds.points, ds.labels, ds.num_classes, W, k, beta, m)
 
 
-def _check_fit(ds: LabeledDataset, beta: float, m: int) -> None:
-    """fit's argument checks, made before any graph is built."""
-    if not isinstance(ds, LabeledDataset):
-        raise TypeError("ds must be a LabeledDataset")
-    if not np.isfinite(beta) or beta < 0:
-        raise ValueError("beta must be finite and nonnegative")
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    L, n = ds.num_classes, ds.n
-    if m + 1 > L + n:
-        raise ValueError("m + 1 must not exceed L + n = %d" % (L + n))
-    counts = class_counts(ds)
-    if np.any(counts == 0):
-        raise ValueError("class %d has no labeled points" % (int(np.argmin(counts)) + 1))
+def _heat_graph(
+    points: np.ndarray, k: int, eps: float | None = None, eps_scale: float = 1.0
+) -> WeightMatrix:
+    """Heat weights on the kNN graph of points; eps = None selects the
+    median heuristic scaled by eps_scale, which an explicit eps excludes."""
+    if eps is not None and eps_scale != 1.0:
+        raise ValueError("eps_scale scales the median eps; pass eps or eps_scale, not both")
+    graph = knn_graph(points, k)
+    if eps is None:
+        eps = median_eps(graph, points) * float(eps_scale)
+    return heat_weights(graph, points, eps)
 
 
 def _spectrum(C: np.ndarray, W, beta: float, m: int) -> EigenSolution:
@@ -233,9 +232,17 @@ def _solve(
     m: int,
 ) -> CcdrModel:
     """The beta- and m-dependent part of fit, on heat weights W built with
-    graph degree k from points. labels lie in {0, .., L}; L = 0 with
-    beta = 1 is the Laplacian eigenmap. The caller has checked beta, m and
-    that every class has a labeled point."""
+    graph degree k from points; it makes fit's argument checks. labels lie
+    in {0, .., L}; L = 0 with beta = 1 is the Laplacian eigenmap."""
+    if not np.isfinite(beta) or beta < 0:
+        raise ValueError("beta must be finite and nonnegative")
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    if m + 1 > L + labels.size:
+        raise ValueError("m + 1 must not exceed L + n = %d" % (L + labels.size))
+    class_sizes = np.bincount(labels, minlength=L + 1)[1:]
+    if np.any(class_sizes == 0):
+        raise ValueError("class %d has no labeled points" % (int(np.argmin(class_sizes)) + 1))
     C = _indicator(labels, L)
     sol = _spectrum(C, W, beta, m)
     lam = sol.values.copy()
@@ -256,9 +263,9 @@ def _solve(
         train_points=points.copy(),
         train_labels=labels.copy(),
         num_classes=int(L),
-        class_sizes=np.bincount(labels, minlength=L + 1)[1:],
+        class_sizes=class_sizes,
     )
-    res = constraint_residuals(model, W=W, C=C)
+    res = constraint_residuals(model, W=W)
     failed = max(res, key=res.get)
     if res[failed] > RESIDUAL_TOL:
         # name the point whose row identity is furthest off: it is usually
@@ -277,7 +284,7 @@ def _stack(model: CcdrModel) -> np.ndarray:
     return np.concatenate([model.centers.T, model.embedding.T], axis=1)
 
 
-def constraint_residuals(model: CcdrModel, W=None, C=None) -> dict[str, float]:
+def constraint_residuals(model: CcdrModel, W=None) -> dict[str, float]:
     """Max-norm residuals of the four fitted-model identities.
 
     gram:   Zhat Dg Zhat^T = I
@@ -286,11 +293,10 @@ def constraint_residuals(model: CcdrModel, W=None, C=None) -> dict[str, float]:
     row:    y_i = (sum_k c_ki z_k + b sum_j w_ij y_j)
                   / ((1 - lambda) (sum_k c_ki + b sum_j w_ij))
 
-    W and C default to a rebuild from the stored training data. With no
-    classes (L = 0) the center identity is empty and its residual is 0.
+    W defaults to a rebuild from the stored training data. With no classes
+    (L = 0) the center identity is empty and its residual is 0.
     """
-    if C is None:
-        C = _indicator(model.train_labels, model.num_classes)
+    C = _indicator(model.train_labels, model.num_classes)
     if W is None:
         W = _heat_graph(model.train_points, model.k, model.eps)
     Wmat = W.matrix if isinstance(W, WeightMatrix) else np.asarray(W)
@@ -370,23 +376,27 @@ def _extend(model: CcdrModel, K, cs: np.ndarray) -> np.ndarray:
 
 
 def save_model(model: CcdrModel, path) -> None:
-    """Persist a model as a flat .npz container with a format version.
+    """Persist a model at exactly path as a flat .npz container with a
+    format version (np.savez given a file name would append .npz to it).
 
     Each CcdrModel field is one entry under its own name; scalars are 0-d
     arrays (float64 beta and eps, int64 k, m and num_classes).
     """
-    np.savez(
-        path,
-        format_version=np.int64(MODEL_FORMAT_VERSION),
-        **{f.name: getattr(model, f.name) for f in fields(CcdrModel)},
-    )
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            format_version=np.int64(MODEL_FORMAT_VERSION),
+            **{f.name: getattr(model, f.name) for f in fields(CcdrModel)},
+        )
 
 
 def load_model(path) -> CcdrModel:
     """Load a model written by save_model; the round trip is lossless.
 
-    A file whose array shapes disagree with each other, or whose k does not
-    satisfy 1 <= k < n, raises ValueError naming the first bad field.
+    A file holding what fit never produces raises ValueError naming the
+    first bad field: array shapes that disagree with each other, k outside
+    1 <= k < n, a non-finite value, eps <= 0, beta < 0, an eigenvalue not
+    below 1 - LAMBDA_TOL, or a training label outside {0, .., L}.
     """
     with np.load(path) as z:
         version = int(z["format_version"])
@@ -402,7 +412,8 @@ def load_model(path) -> CcdrModel:
 
 
 def _check_layout(values: dict) -> None:
-    """Check a loaded model's array shapes against its n, L and m, and its k."""
+    """Check a loaded model's array shapes against its n, L and m, its k,
+    and its values against the ranges fit guarantees."""
     pts = np.shape(values["train_points"])
     if len(pts) != 2:
         raise ValueError("model field train_points has shape %s, expected (n, d)" % (pts,))
@@ -420,3 +431,15 @@ def _check_layout(values: dict) -> None:
             raise ValueError("model field %s has shape %s, expected %s" % (name, got, shape))
     if not 1 <= values["k"] < n:
         raise ValueError("model field k = %s must satisfy 1 <= k < n = %d" % (values["k"], n))
+    for name in ("train_points", "centers", "embedding", "eigenvalues", "beta", "eps"):
+        if not np.isfinite(values[name]).all():
+            raise ValueError("model field %s holds a non-finite value" % name)
+    if not values["eps"] > 0:
+        raise ValueError("model field eps = %r must be positive" % values["eps"])
+    if values["beta"] < 0:
+        raise ValueError("model field beta = %r must be nonnegative" % values["beta"])
+    if np.any(values["eigenvalues"] >= 1.0 - LAMBDA_TOL):
+        raise ValueError("model field eigenvalues must lie below 1 - %g" % LAMBDA_TOL)
+    labels = values["train_labels"]
+    if labels.min(initial=0) < 0 or labels.max(initial=0) > L:
+        raise ValueError("model field train_labels must lie in {0, .., %d}" % L)

@@ -460,17 +460,6 @@ def heat_weights(
     return WeightMatrix(matrix=mat, eps=float(eps))
 
 
-def _heat_graph(
-    points: np.ndarray, k: int, eps: float | None = None, eps_scale: float = 1.0
-) -> WeightMatrix:
-    """Heat weights on the kNN graph of points; eps = None selects the
-    median heuristic scaled by eps_scale."""
-    graph = knn_graph(points, k)
-    if eps is None:
-        eps = median_eps(graph, points) * float(eps_scale)
-    return heat_weights(graph, points, eps)
-
-
 def kernel_rows(
     X: np.ndarray, train_points: np.ndarray, k: int, eps: float, _index=None
 ) -> tuple[np.ndarray, np.ndarray]:

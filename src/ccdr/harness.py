@@ -12,7 +12,7 @@ into any fitted parameter.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -26,15 +26,13 @@ from .dataset import (
     gen_circles,
     load_statlog,
 )
-from .embedding import _check_fit, _extend, _solve, embed_many
-from .graph import _heat_graph, kernel_rows
+from .embedding import _extend, _heat_graph, _solve, embed_many
+from .graph import kernel_rows
 from .baselines import lda_fit, pca_fit
 
 PIPELINES = ("raw", "pca", "ccdr", "lda", "lapeig")
 _GRAPH_PIPELINES = ("ccdr", "lapeig")
 CLASSIFIERS = ("knn", "linear")
-
-CSV_HEADER = "pipeline,classifier,beta,m,graph_k,clf_k,error,ci_low,ci_high,wall_ms"
 
 # Two-sided normal quantile for the default 80% confidence level.
 Z80 = 1.2816
@@ -47,7 +45,8 @@ class ExperimentConfig:
     Exactly one data source applies: statlog paths (train_path, test_path)
     or a synthetic spec (synth = dict with n_per_class, radii, noise_sd);
     synthetic test data uses seed + 1. remap=None means the satimage label
-    table. eps=None selects the median heuristic scaled by eps_scale.
+    table. eps=None selects the median heuristic scaled by eps_scale; an
+    explicit eps needs eps_scale = 1.
     The `ccdr sweep` and `ccdr classify` options are derived from these
     fields and their defaults (see cli.py).
     """
@@ -85,6 +84,11 @@ class SweepRow:
     ci_high: float
     wall_ms: float
     note: str = ""
+
+
+# a sweep CSV's columns: every SweepRow field but the free-text note
+_SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow) if f.name != "note")
+CSV_HEADER = ",".join(_SWEEP_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -182,10 +186,7 @@ def _graph_model(pipeline, train, m, graph_k, beta, W):
     share one solve, one model type and one extension.
     """
     if pipeline == "lapeig":
-        if not 1 <= m <= train.n - 1:
-            raise ValueError("m must satisfy 1 <= m <= n - 1 = %d" % (train.n - 1))
         return _solve(train.points, np.zeros(train.n, dtype=np.int64), 0, W, graph_k, 1.0, m)
-    _check_fit(train, beta, m)
     return _solve(train.points, train.labels, train.num_classes, W, graph_k, beta, m)
 
 
@@ -340,25 +341,16 @@ def _csv_num(v) -> str:
     return repr(float(v))
 
 
-def emit_report(report: SweepReport, path) -> None:
-    """Write the report as CSV; float fields round-trip at full precision."""
-    lines = [CSV_HEADER]
-    for r in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    r.pipeline,
-                    r.classifier,
-                    _csv_num(r.beta),
-                    _csv_num(r.m),
-                    _csv_num(r.graph_k),
-                    _csv_num(r.clf_k),
-                    _csv_num(r.error),
-                    _csv_num(r.ci_low),
-                    _csv_num(r.ci_high),
-                    _csv_num(r.wall_ms),
-                ]
-            )
-        )
+def _write_csv(path, columns, rows) -> None:
+    """Write a header of column names, then one line per row: strings as
+    they are, numbers through _csv_num, so floats round-trip exactly."""
+    lines = [",".join(columns)]
+    lines += [",".join(v if isinstance(v, str) else _csv_num(v) for v in row) for row in rows]
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def emit_report(report: SweepReport, path) -> None:
+    """Write the report as CSV_HEADER's columns, one line per row."""
+    cols = _SWEEP_COLUMNS
+    _write_csv(path, cols, ([getattr(r, c) for c in cols] for r in report.rows))

@@ -19,8 +19,8 @@ from scipy.spatial.distance import cdist
 
 import ccdr.spectral
 from ccdr.dataset import LabeledDataset, gen_circles
-from ccdr.embedding import CcdrModel, _read_only_model, _solve, _spectrum
-from ccdr.graph import WeightMatrix, _heat_graph
+from ccdr.embedding import CcdrModel, _heat_graph, _read_only_model, _solve, _spectrum
+from ccdr.graph import WeightMatrix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

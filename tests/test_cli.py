@@ -184,6 +184,53 @@ def test_oos_rejects_a_malformed_model_file(split_files, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_oos_rejects_a_model_with_an_eigenvalue_of_one(split_files, tmp_path, capsys):
+    trn, tst = split_files
+    mdl = tmp_path / "model.npz"
+    main([
+        "embed", "--train", trn, "--remap", "identity", "--pipeline", "ccdr",
+        "--beta", "0.05", "--out", str(tmp_path / "e.csv"), "--model-out", str(mdl),
+    ])
+    with np.load(mdl) as z:
+        data = {k: z[k] for k in z.files}
+    data["eigenvalues"] = np.array([data["eigenvalues"][0], 1.0])
+    np.savez(mdl, **data)
+    capsys.readouterr()
+    out = tmp_path / "oos.csv"
+    rc = main(["oos", "--model", str(mdl), "--points", tst, "--remap", "identity", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: model field eigenvalues must lie below 1 - 1e-09\n"
+    assert not out.exists()
+
+
+def test_model_saved_to_a_path_without_suffix_extends(split_files, tmp_path, capsys):
+    trn, tst = split_files
+    mdl = tmp_path / "mymodel"
+    rc = main([
+        "embed", "--train", trn, "--remap", "identity", "--pipeline", "ccdr",
+        "--beta", "0.05", "--out", str(tmp_path / "e.csv"), "--model-out", str(mdl),
+    ])
+    assert rc == 0 and "saved model to %s\n" % mdl in capsys.readouterr().out
+    assert not (tmp_path / "mymodel.npz").exists()
+    out = tmp_path / "oos.csv"
+    rc = main(["oos", "--model", str(mdl), "--points", tst, "--remap", "identity", "--out", str(out)])
+    assert rc == 0 and len(out.read_text().splitlines()) == 21
+
+
+def test_embed_rejects_eps_with_eps_scale(split_files, tmp_path, capsys):
+    trn, _ = split_files
+    out = tmp_path / "e.csv"
+    rc = main([
+        "embed", "--train", trn, "--remap", "identity", "--eps", "0.7",
+        "--eps-scale", "2", "--out", str(out),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: eps_scale scales the median eps; pass eps or eps_scale, not both\n"
+    )
+    assert not out.exists()
+
+
 def test_classify_prints_error_line(split_files, capsys):
     trn, tst = split_files
     rc = main([

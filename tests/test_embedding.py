@@ -488,6 +488,48 @@ def test_load_model_rejects_a_malformed_file(tmp_path, blob30):
             load_model(p)
 
 
+@pytest.mark.parametrize("name, bad, msg", [
+    pytest.param("eigenvalues", [0.5, 1.0], r"eigenvalues must lie below 1 - 1e-09",
+                 id="eigenvalue-1"),
+    pytest.param("eigenvalues", [0.5, np.nan], r"eigenvalues holds a non-finite value",
+                 id="eigenvalue-nan"),
+    pytest.param("embedding", np.nan, r"embedding holds a non-finite value", id="embedding-nan"),
+    pytest.param("centers", np.inf, r"centers holds a non-finite value", id="centers-inf"),
+    pytest.param("train_points", -np.inf, r"train_points holds a non-finite value",
+                 id="train_points-inf"),
+    pytest.param("beta", np.nan, r"beta holds a non-finite value", id="beta-nan"),
+    pytest.param("eps", np.inf, r"eps holds a non-finite value", id="eps-inf"),
+    pytest.param("eps", -1.0, r"eps = -1.0 must be positive", id="eps-negative"),
+    pytest.param("eps", 0.0, r"eps = 0.0 must be positive", id="eps-zero"),
+    pytest.param("beta", -0.5, r"beta = -0.5 must be nonnegative", id="beta-negative"),
+    pytest.param("train_labels", 4, r"train_labels must lie in \{0, .., 3\}", id="label-above-L"),
+    pytest.param("train_labels", -1, r"train_labels must lie in \{0, .., 3\}", id="label-negative"),
+])
+def test_load_model_rejects_values_fit_never_produces(tmp_path, blob30, name, bad, msg):
+    model = fit(blob30, k=5, eps=None, beta=0.8, m=2)
+    p = tmp_path / "model.npz"
+    save_model(model, p)
+    with np.load(p) as z:
+        data = {k: z[k].copy() for k in z.files}
+    if np.ndim(bad) or data[name].ndim == 0:
+        data[name] = np.asarray(bad, dtype=data[name].dtype)
+    else:
+        data[name].flat[3] = bad  # one entry of an array field
+    np.savez(p, **data)
+    with pytest.raises(ValueError, match="^model field " + msg + "$"):
+        load_model(p)
+
+
+def test_save_model_writes_exactly_the_given_path(tmp_path, blob30):
+    model = fit(blob30, k=5, eps=None, beta=0.8, m=2)
+    p = tmp_path / "mymodel"
+    save_model(model, p)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["mymodel"]
+    back = load_model(p)
+    for f in dataclasses.fields(CcdrModel):
+        assert np.array_equal(getattr(back, f.name), getattr(model, f.name)), f.name
+
+
 def test_fit_rejects_overflowing_distances():
     ds = LabeledDataset(np.random.default_rng(0).standard_normal((20, 3)) * 1e155,
                         np.repeat([1, 2], 10), 2)
@@ -654,7 +696,7 @@ def test_refit_oracle_agrees_with_labelled_extensions():
             if npc == 30:
                 # the appended vertex's largest share of an eigenvector's
                 # Dg-mass: its augmented degree times its squared coordinate
-                w = np.array([graph._heat_graph(np.vstack([train.points, x]), model.k,
+                w = np.array([embedding._heat_graph(np.vstack([train.points, x]), model.k,
                                                 model.eps).degrees()[-1] for x in test.points])
                 unlabelled = np.array([refit_row(model, x, 0) for x in test.points])
                 lab = ((1.0 + model.beta * w)[:, None] * refit**2).max(axis=1)

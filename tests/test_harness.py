@@ -10,7 +10,7 @@ import pytest
 from scipy.stats import norm
 
 import ccdr.classify
-import ccdr.graph
+import ccdr.embedding
 import ccdr.harness
 from ccdr.classify import KnnClassifier, linear_fit
 from ccdr.dataset import (
@@ -324,13 +324,13 @@ def _graph_grid(trn, tst, graph_ks):
 
 def _count_knn_graphs(monkeypatch):
     calls = []
-    real = ccdr.graph.knn_graph
+    real = ccdr.embedding.knn_graph
 
     def counted(points, k):
         calls.append(k)
         return real(points, k)
 
-    monkeypatch.setattr(ccdr.graph, "knn_graph", counted)
+    monkeypatch.setattr(ccdr.embedding, "knn_graph", counted)
     return calls
 
 
@@ -425,6 +425,35 @@ def test_run_sweep_graph_error_comes_before_argument_errors(circle_files):
     rows = run_sweep(replace(_graph_grid(*circle_files, graph_ks=(500,)), ms=(200,))).rows
     assert {r.pipeline for r in rows} == {"ccdr", "lapeig"}
     assert {r.note for r in rows} == {"k must satisfy 1 <= k <= n - 1, got k=500, n=80"}
+
+
+def test_every_graph_fit_reports_one_error_for_one_input(circle_files):
+    # graph_k = 80 >= n and m = 0: fit, fit_pipeline and a sweep row all
+    # build the graph first and name it
+    cfg = replace(_graph_grid(*circle_files, graph_ks=(80,)), pipelines=("ccdr",),
+                  betas=(0.5,), ms=(0,))
+    train, _ = load_split(cfg)
+    msg = "k must satisfy 1 <= k <= n - 1, got k=80, n=80"
+    with pytest.raises(ValueError) as by_fit:
+        fit(train, k=80, beta=0.5, m=0)
+    with pytest.raises(ValueError) as by_pipeline:
+        fit_pipeline("ccdr", train, 0, graph_k=80, beta=0.5)
+    notes = {r.note for r in run_sweep(cfg).rows}
+    assert str(by_fit.value) == str(by_pipeline.value) == msg and notes == {msg}
+    # lapeig runs CCDR's checks with L = 0
+    with pytest.raises(ValueError, match=r"^m \+ 1 must not exceed L \+ n = 80$"):
+        fit_pipeline("lapeig", train, 80, graph_k=4)
+
+
+def test_explicit_eps_with_eps_scale_is_an_error(circle_files):
+    msg = "eps_scale scales the median eps; pass eps or eps_scale, not both"
+    train, _ = load_split(_graph_grid(*circle_files, graph_ks=(4,)))
+    with pytest.raises(ValueError, match=msg):
+        fit(train, k=4, eps=0.5, eps_scale=3.0)
+    rows = run_sweep(replace(_graph_grid(*circle_files, graph_ks=(4,)),
+                             eps=0.7, eps_scale=2.0)).rows
+    assert {r.pipeline for r in rows} == {"ccdr", "lapeig"}
+    assert {r.note for r in rows} == {msg}
 
 
 def test_warnings_name_the_callers_line(tmp_path):
